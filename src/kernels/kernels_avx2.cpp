@@ -17,6 +17,10 @@
  *  - Shift counts are runtime values (the Q-format's fracBits), hence
  *    _mm256_sra_epi32/16 with a _mm_cvtsi32_si128 count instead of
  *    the immediate forms.
+ *
+ * There is no tree kernel here: an 8-lane i32gather descent measured
+ * ~0.6x the scalar kernel's rows/s in bench_micro_kernels, so the
+ * table leaves treeTraverse empty and inherits the scalar one.
  */
 #include "kernels/kernel_api.hpp"
 
@@ -153,45 +157,6 @@ argmaxI16Avx2(const std::int16_t *scores, std::size_t classes,
     _mm256_store_si256(reinterpret_cast<__m256i *>(out), best_index);
     for (std::size_t lane = 0; lane < kDenseLanes16; ++lane)
         labels[lane] = out[lane];
-}
-
-void
-treeTraverseAvx2(const TreeTraverseArgs &args)
-{
-    const __m256i minus_one = _mm256_set1_epi32(-1);
-    const __m256i lane_offsets =
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    __m256i index = _mm256_setzero_si256();
-    for (;;) {
-        const __m256i left =
-            _mm256_i32gather_epi32(args.nodeLeft, index, 4);
-        // active = this lane still sits on an internal node.
-        const __m256i active = _mm256_cmpgt_epi32(left, minus_one);
-        if (_mm256_movemask_epi8(active) == 0)
-            break;
-        const __m256i feature =
-            _mm256_i32gather_epi32(args.nodeFeature, index, 4);
-        const __m256i threshold =
-            _mm256_i32gather_epi32(args.nodeThreshold, index, 4);
-        const __m256i right =
-            _mm256_i32gather_epi32(args.nodeRight, index, 4);
-        // value = input[feature * kTreeLanes + lane]; masked so lanes
-        // parked on a leaf never dereference the leaf's feature slot.
-        const __m256i vindex = _mm256_add_epi32(
-            _mm256_slli_epi32(feature, 3), lane_offsets);
-        const __m256i value = _mm256_mask_i32gather_epi32(
-            _mm256_setzero_si256(), args.input, vindex, active, 4);
-        // go_left = value <= threshold; cmpgt gives value > threshold.
-        const __m256i gt = _mm256_cmpgt_epi32(value, threshold);
-        const __m256i next = _mm256_blendv_epi8(left, right, gt);
-        index = _mm256_blendv_epi8(index, next, active);
-    }
-    const __m256i label =
-        _mm256_i32gather_epi32(args.nodeLabel, index, 4);
-    alignas(32) std::int32_t out[kTreeLanes];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(out), label);
-    for (std::size_t lane = 0; lane < kTreeLanes; ++lane)
-        args.labels[lane] = out[lane];
 }
 
 /** Horizontal sum of 4 int64 lanes. */
@@ -358,7 +323,6 @@ avx2Ops()
         table.denseI16 = denseI16Avx2;
         table.argmaxI32 = argmaxI32Avx2;
         table.argmaxI16 = argmaxI16Avx2;
-        table.treeTraverse = treeTraverseAvx2;
         table.squaredDist = squaredDistAvx2;
         table.kmeansArgmin = kmeansArgminAvx2;
         table.svmArgmaxNarrow = svmArgmaxNarrowAvx2;

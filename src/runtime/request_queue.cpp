@@ -56,35 +56,51 @@ backpressureModeName(BackpressureMode mode)
     return "?";
 }
 
+const RequestQueue::CounterField RequestQueue::kCounterFields[] = {
+    {"queue.accepted", &QueueCounters::accepted, &LaneCounters::accepted},
+    {"queue.shed", &QueueCounters::shed, &LaneCounters::shed},
+    {"queue.block_timeouts", &QueueCounters::blockTimeouts,
+     &LaneCounters::blockTimeouts},
+    {"queue.early_dropped", &QueueCounters::earlyDropped,
+     &LaneCounters::earlyDropped},
+    {"queue.rejected_closed", &QueueCounters::rejectedClosed,
+     &LaneCounters::rejectedClosed},
+    {"queue.size_flushes", &QueueCounters::sizeFlushes,
+     &LaneCounters::sizeFlushes},
+    {"queue.deadline_flushes", &QueueCounters::deadlineFlushes,
+     &LaneCounters::deadlineFlushes},
+    {"queue.drain_flushes", &QueueCounters::drainFlushes,
+     &LaneCounters::drainFlushes},
+    {"queue.aged_flushes", &QueueCounters::agedFlushes,
+     &LaneCounters::agedFlushes},
+};
+
 void
 RequestQueue::LaneCounters::bind(telemetry::MetricRegistry &registry,
                                  std::size_t lane)
 {
     telemetry::Labels labels{{"lane", std::to_string(lane)}};
-    accepted = &registry.counter("queue.accepted", labels);
-    shed = &registry.counter("queue.shed", labels);
-    blockTimeouts = &registry.counter("queue.block_timeouts", labels);
-    earlyDropped = &registry.counter("queue.early_dropped", labels);
-    rejectedClosed = &registry.counter("queue.rejected_closed", labels);
-    sizeFlushes = &registry.counter("queue.size_flushes", labels);
-    deadlineFlushes = &registry.counter("queue.deadline_flushes", labels);
-    drainFlushes = &registry.counter("queue.drain_flushes", labels);
-    agedFlushes = &registry.counter("queue.aged_flushes", labels);
+    for (const CounterField &field : kCounterFields)
+        this->*field.counter = &registry.counter(field.name, labels);
 }
 
 QueueCounters
 RequestQueue::LaneCounters::snapshot() const
 {
     QueueCounters c;
-    c.accepted = accepted->value();
-    c.shed = shed->value();
-    c.blockTimeouts = blockTimeouts->value();
-    c.earlyDropped = earlyDropped->value();
-    c.rejectedClosed = rejectedClosed->value();
-    c.sizeFlushes = sizeFlushes->value();
-    c.deadlineFlushes = deadlineFlushes->value();
-    c.drainFlushes = drainFlushes->value();
-    c.agedFlushes = agedFlushes->value();
+    for (const CounterField &field : kCounterFields)
+        c.*field.value = (this->*field.counter)->value();
+    return c;
+}
+
+QueueCounters
+RequestQueue::countersFrom(const telemetry::MetricsSnapshot &snapshot,
+                           std::size_t lane)
+{
+    telemetry::Labels labels{{"lane", std::to_string(lane)}};
+    QueueCounters c;
+    for (const CounterField &field : kCounterFields)
+        c.*field.value = snapshot.counterValue(field.name, labels);
     return c;
 }
 

@@ -317,6 +317,12 @@ class RequestQueue
     QueueCounters counters() const;           ///< sum over lanes.
     QueueCounters counters(std::size_t lane) const;
 
+    /** One lane's counters read from a snapshot of the registry the
+     *  queue bound them in (or a merge of several such snapshots);
+     *  zero for counters the snapshot lacks. */
+    static QueueCounters countersFrom(
+        const telemetry::MetricsSnapshot &snapshot, std::size_t lane);
+
     std::size_t lanes() const { return config_.lanes.size(); }
     const QueuePolicy &policy(std::size_t lane = 0) const
     {
@@ -331,9 +337,8 @@ class RequestQueue
   private:
     /** The queue's per-lane instruments, resolved once at construction
      *  from the telemetry registry ("queue.accepted" {lane=N}, ...);
-     *  updates are the same relaxed-atomic adds the old embedded
-     *  counters did, and counters() folds the registry values back
-     *  into the plain QueueCounters view struct. */
+     *  updates are relaxed-atomic adds, and counters() folds the
+     *  registry values back into the plain QueueCounters view struct. */
     struct LaneCounters
     {
         telemetry::Counter *accepted = nullptr;
@@ -351,6 +356,18 @@ class RequestQueue
 
         QueueCounters snapshot() const;
     };
+
+    /** One queue counter: its instrument name, the QueueCounters field
+     *  it materializes into, and the LaneCounters slot that updates it.
+     *  kCounterFields lists every counter once — the single place the
+     *  name <-> field mapping lives. */
+    struct CounterField
+    {
+        const char *name;
+        std::uint64_t QueueCounters::*value;
+        telemetry::Counter *LaneCounters::*counter;
+    };
+    static const CounterField kCounterFields[];
 
     /** One producer parked in kBlockWithTimeout mode, queued on the
      *  lane's FIFO waiter list (guarded by mutex_). The consumer

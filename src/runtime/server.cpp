@@ -26,14 +26,83 @@ submitStatusFor(Admission admission)
     return SubmitStatus::kShed;
 }
 
-/** Nearest-rank percentile over a snapshot entry's reservoir. */
-double
-entryPercentile(const telemetry::MetricsSnapshot::Entry *entry, double p)
+/** p50/p99 of one histogram entry; zero when it is absent or empty
+ *  (a run that served nothing). */
+void
+readPercentiles(const telemetry::MetricsSnapshot &snapshot,
+                const std::string &name, const telemetry::Labels &labels,
+                double &p50, double &p99)
 {
-    return entry != nullptr ? entry->percentile(p * 100.0) : 0.0;
+    const telemetry::MetricsSnapshot::Entry *entry =
+        snapshot.find(name, labels);
+    if (entry == nullptr)
+        return;
+    p50 = entry->percentile(50.0);
+    p99 = entry->percentile(99.0);
+}
+
+/** A counter's value (or a histogram's count) as a size. */
+std::size_t
+count(const telemetry::MetricsSnapshot &snapshot, const std::string &name,
+      const telemetry::Labels &labels = {})
+{
+    return static_cast<std::size_t>(snapshot.counterValue(name, labels));
 }
 
 }  // namespace
+
+ServerStats
+statsFromSnapshot(const telemetry::MetricsSnapshot &snapshot,
+                  std::size_t lanes, const std::vector<std::string> &models)
+{
+    ServerStats stats;
+    stats.rowsServed = count(snapshot, "server.rows_served");
+    stats.batches = count(snapshot, "server.batches");
+    stats.malformedFrames = count(snapshot, "server.malformed_frames");
+    stats.failedBatches = count(snapshot, "server.failed_batches");
+    stats.failedRows = count(snapshot, "server.failed_rows");
+    stats.retriedBatches = count(snapshot, "server.retried_batches");
+    stats.callbackErrors = count(snapshot, "server.callback_errors");
+    stats.deadlineTruncated = count(snapshot, "server.deadline_truncated");
+    stats.fallbackRows = count(snapshot, "server.fallback_rows");
+    stats.meanBatchRows =
+        stats.batches > 0 ? static_cast<double>(stats.rowsServed) /
+                                static_cast<double>(stats.batches)
+                          : 0.0;
+    readPercentiles(snapshot, "server.batch_latency_us", {},
+                    stats.p50BatchLatencyUs, stats.p99BatchLatencyUs);
+    readPercentiles(snapshot, "server.request_latency_us", {},
+                    stats.p50RequestLatencyUs, stats.p99RequestLatencyUs);
+
+    stats.lanes.resize(lanes);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+        telemetry::Labels labels{{"lane", std::to_string(lane)}};
+        LaneStats &out = stats.lanes[lane];
+        out.queue = RequestQueue::countersFrom(snapshot, lane);
+        stats.queue += out.queue;
+        out.rowsServed = count(snapshot, "server.lane.rows_served", labels);
+        out.rowsFailed = count(snapshot, "server.lane.rows_failed", labels);
+        out.batches = count(snapshot, "server.lane.batches", labels);
+        readPercentiles(snapshot, "server.lane.request_latency_us", labels,
+                        out.p50RequestLatencyUs, out.p99RequestLatencyUs);
+    }
+
+    stats.models.resize(models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        telemetry::Labels labels{{"model", models[m]}};
+        ModelStats &out = stats.models[m];
+        out.name = models[m];
+        out.rowsServed = count(snapshot, "server.model.rows", labels);
+        out.batches = count(snapshot, "server.model.steps", labels);
+        readPercentiles(snapshot, "server.model.step_latency_us", labels,
+                        out.p50StepLatencyUs, out.p99StepLatencyUs);
+        out.breakerOpens = snapshot.counterValue("router.breaker.opens",
+                                                 labels);
+        out.breakerFallbackRows =
+            snapshot.counterValue("router.breaker.fallback_rows", labels);
+    }
+    return stats;
+}
 
 QueueConfig
 Server::makeQueueConfig()
@@ -472,97 +541,15 @@ Server::stop()
 
     // Materialize the public view from one registry snapshot — the
     // batcher has joined, so the snapshot is the run's final word.
-    telemetry::MetricsSnapshot snap = metrics_->snapshot();
-    ServerStats stats;
-    stats.queue = queue_.counters();
-    stats.malformedFrames = static_cast<std::size_t>(
-        snap.counterValue("server.malformed_frames"));
-    stats.callbackErrors = static_cast<std::size_t>(
-        snap.counterValue("server.callback_errors"));
+    ServerStats stats = statsFromSnapshot(
+        metrics_->snapshot(), queue_.lanes(),
+        router_ ? router_->models() : std::vector<std::string>{});
     stats.wallSeconds =
         std::chrono::duration<double>(Clock::now() - startedAt_).count();
-    stats.rowsServed = static_cast<std::size_t>(
-        snap.counterValue("server.rows_served"));
-    stats.batches =
-        static_cast<std::size_t>(snap.counterValue("server.batches"));
-    stats.failedBatches = static_cast<std::size_t>(
-        snap.counterValue("server.failed_batches"));
-    stats.failedRows = static_cast<std::size_t>(
-        snap.counterValue("server.failed_rows"));
-    stats.retriedBatches = static_cast<std::size_t>(
-        snap.counterValue("server.retried_batches"));
-    stats.deadlineTruncated = static_cast<std::size_t>(
-        snap.counterValue("server.deadline_truncated"));
-    stats.fallbackRows = static_cast<std::size_t>(
-        snap.counterValue("server.fallback_rows"));
-    stats.meanBatchRows =
-        stats.batches > 0 ? static_cast<double>(stats.rowsServed) /
-                                static_cast<double>(stats.batches)
-                          : 0.0;
-    // A run that served nothing keeps every percentile at its zeroed
-    // default instead of consulting empty reservoirs.
-    const telemetry::MetricsSnapshot::Entry *batch_lat =
-        snap.find("server.batch_latency_us");
-    const telemetry::MetricsSnapshot::Entry *request_lat =
-        snap.find("server.request_latency_us");
-    if (stats.batches > 0) {
-        stats.p50BatchLatencyUs = entryPercentile(batch_lat, 0.50);
-        stats.p99BatchLatencyUs = entryPercentile(batch_lat, 0.99);
-    }
-    if (stats.rowsServed > 0) {
-        stats.p50RequestLatencyUs = entryPercentile(request_lat, 0.50);
-        stats.p99RequestLatencyUs = entryPercentile(request_lat, 0.99);
-    }
-    if (batch_lat != nullptr)
-        stats.batchLatencySamplesUs = batch_lat->samples;
-    if (request_lat != nullptr)
-        stats.requestLatencySamplesUs = request_lat->samples;
-
-    stats.lanes.resize(queue_.lanes());
-    for (std::size_t lane = 0; lane < queue_.lanes(); ++lane) {
-        telemetry::Labels labels{{"lane", std::to_string(lane)}};
-        LaneStats &out = stats.lanes[lane];
-        out.queue = queue_.counters(lane);
-        out.rowsServed = static_cast<std::size_t>(
-            snap.counterValue("server.lane.rows_served", labels));
-        out.rowsFailed = static_cast<std::size_t>(
-            snap.counterValue("server.lane.rows_failed", labels));
-        out.batches = static_cast<std::size_t>(
-            snap.counterValue("server.lane.batches", labels));
-        const telemetry::MetricsSnapshot::Entry *lane_lat =
-            snap.find("server.lane.request_latency_us", labels);
-        if (out.rowsServed > 0) {
-            out.p50RequestLatencyUs = entryPercentile(lane_lat, 0.50);
-            out.p99RequestLatencyUs = entryPercentile(lane_lat, 0.99);
-        }
-        if (lane_lat != nullptr)
-            out.requestLatencySamplesUs = lane_lat->samples;
-    }
-    if (router_) {
-        const std::vector<std::string> &names = router_->models();
-        stats.models.resize(names.size());
-        for (std::size_t m = 0; m < names.size(); ++m) {
-            telemetry::Labels labels{{"model", names[m]}};
-            ModelStats &out = stats.models[m];
-            out.name = names[m];
-            out.activeVersion = registry_->activeVersion(names[m]);
-            out.rowsServed = static_cast<std::size_t>(
-                snap.counterValue("server.model.rows", labels));
-            out.batches = static_cast<std::size_t>(
-                snap.counterValue("server.model.steps", labels));
-            const telemetry::MetricsSnapshot::Entry *step_lat =
-                snap.find("server.model.step_latency_us", labels);
-            if (out.batches > 0) {
-                out.p50StepLatencyUs = entryPercentile(step_lat, 0.50);
-                out.p99StepLatencyUs = entryPercentile(step_lat, 0.99);
-            }
-            if (step_lat != nullptr)
-                out.stepLatencySamplesUs = step_lat->samples;
-            BreakerSnapshot breaker = router_->breaker(m);
-            out.breakerState = breakerStateName(breaker.state);
-            out.breakerOpens = breaker.opens;
-            out.breakerFallbackRows = breaker.fallbackRows;
-        }
+    for (std::size_t m = 0; m < stats.models.size(); ++m) {
+        ModelStats &out = stats.models[m];
+        out.activeVersion = registry_->activeVersion(out.name);
+        out.breakerState = breakerStateName(router_->breaker(m).state);
     }
     finalStats_ = stats;
     stopped_ = true;

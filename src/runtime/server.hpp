@@ -164,10 +164,6 @@ struct LaneStats
     std::size_t batches = 0;
     double p50RequestLatencyUs = 0.0;  ///< admission -> verdict.
     double p99RequestLatencyUs = 0.0;
-    /** The lane's request-latency reservoir snapshot (µs) — what the
-     *  percentiles above were computed from; ShardedServer concatenates
-     *  these across shards to recompute merged percentiles. */
-    std::vector<double> requestLatencySamplesUs;
 };
 
 /** Per-model slice of a routed serving run (valid after stop();
@@ -181,8 +177,6 @@ struct ModelStats
     std::size_t batches = 0;          ///< model executions (DAG steps).
     double p50StepLatencyUs = 0.0;    ///< engine time per execution.
     double p99StepLatencyUs = 0.0;
-    /** Step-latency reservoir snapshot (µs), for cross-shard merging. */
-    std::vector<double> stepLatencySamplesUs;
     /** Circuit-breaker slice at stop() time (all-zero / "closed" when
      *  breakers are disabled). */
     std::string breakerState = "closed";
@@ -199,10 +193,12 @@ struct ServerStats
     std::size_t malformedFrames = 0; ///< submitFrame parse drops.
     double meanBatchRows = 0.0;
     /**
-     * Latency percentiles: exact for runs up to the sampling-reservoir
-     * capacity (64k batches / 64k requests), uniform-reservoir
-     * estimates beyond it — memory stays O(1) no matter how long the
-     * server lives. All-zero when the run served nothing.
+     * Latency percentiles (nearest rank over the registry's histogram
+     * reservoirs): exact for runs up to the reservoir capacity (64k
+     * batches / 64k requests), uniform-reservoir estimates beyond it —
+     * memory stays O(1) no matter how long the server lives. A sharded
+     * run pools every shard's reservoir before ranking. All-zero when
+     * the run served nothing.
      */
     double p50BatchLatencyUs = 0.0;  ///< engine time per batch.
     double p99BatchLatencyUs = 0.0;
@@ -220,18 +216,23 @@ struct ServerStats
     std::size_t callbackErrors = 0;  ///< throwing user callbacks caught.
     std::size_t deadlineTruncated = 0;  ///< chain hops skipped (routed).
     std::size_t fallbackRows = 0;    ///< breaker-fallback rows (routed).
-    /**
-     * Latency reservoir snapshots (µs) the percentiles were computed
-     * from. ShardedServer::stop() concatenates them across shards and
-     * recomputes — exact whenever no shard overflowed its 64k
-     * reservoir (the common case), a shard-sample-weighted estimate
-     * beyond that.
-     */
-    std::vector<double> batchLatencySamplesUs;
-    std::vector<double> requestLatencySamplesUs;
     std::vector<LaneStats> lanes;      ///< one entry per lane.
     std::vector<ModelStats> models;    ///< routed servers only.
 };
+
+/**
+ * Materialize the stats of a serving run from a metrics snapshot: one
+ * server's registry snapshot, or the merge of several with no shard
+ * label (ShardedServer). Fills the server.* counters, the queue.*
+ * {lane=N} counters (aggregate = sum over lanes), @p lanes lane slices,
+ * one model slice per name in @p models, and nearest-rank p50/p99 from
+ * the histogram reservoirs. Three inputs no snapshot holds stay at
+ * their defaults for the caller to set: wallSeconds, each model's
+ * activeVersion, and its breakerState.
+ */
+ServerStats statsFromSnapshot(const telemetry::MetricsSnapshot &snapshot,
+                              std::size_t lanes,
+                              const std::vector<std::string> &models);
 
 class Server
 {

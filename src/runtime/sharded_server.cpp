@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "math/stats.hpp"
 #include "net/packet.hpp"
 
 namespace homunculus::runtime {
@@ -20,18 +19,6 @@ splitmix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
     return x ^ (x >> 31);
-}
-
-/** Percentiles from a merged sample set, zero when it is empty (the
- *  same "served nothing" convention Server::stop() uses). */
-void
-fillPercentiles(const std::vector<double> &samples, double &p50,
-                double &p99)
-{
-    if (samples.empty())
-        return;
-    p50 = math::percentileNearestRank(samples, 0.50);
-    p99 = math::percentileNearestRank(samples, 0.99);
 }
 
 /** The per-shard ServerConfig: identical knobs, disjoint ticket
@@ -231,98 +218,30 @@ ShardedServer::stop()
     for (auto &server : servers_)
         shardStats_.push_back(server->stop());
 
-    ServerStats merged;
-    for (const ServerStats &s : shardStats_) {
-        merged.queue += s.queue;
-        merged.rowsServed += s.rowsServed;
-        merged.batches += s.batches;
-        merged.malformedFrames += s.malformedFrames;
-        merged.failedBatches += s.failedBatches;
-        merged.failedRows += s.failedRows;
-        merged.retriedBatches += s.retriedBatches;
-        merged.callbackErrors += s.callbackErrors;
-        merged.deadlineTruncated += s.deadlineTruncated;
-        merged.fallbackRows += s.fallbackRows;
-        // Shards ran concurrently; the run's wall time is the longest
-        // shard's, not the sum.
+    // One stats path: pool every shard's registry with the front
+    // door's (no shard label, so matching instruments fold together)
+    // and materialize exactly as a single Server does.
+    telemetry::MetricsSnapshot pooled = frontMetrics_.snapshot();
+    for (const auto &server : servers_)
+        pooled.merge(server->metrics().snapshot());
+    const Router *router = servers_.front()->router();
+    ServerStats merged = statsFromSnapshot(
+        pooled, servers_.front()->lanes(),
+        router != nullptr ? router->models() : std::vector<std::string>{});
+    // Shards ran concurrently; the run's wall time is the longest
+    // shard's, not the sum.
+    for (const ServerStats &s : shardStats_)
         merged.wallSeconds = std::max(merged.wallSeconds, s.wallSeconds);
-        merged.batchLatencySamplesUs.insert(
-            merged.batchLatencySamplesUs.end(),
-            s.batchLatencySamplesUs.begin(),
-            s.batchLatencySamplesUs.end());
-        merged.requestLatencySamplesUs.insert(
-            merged.requestLatencySamplesUs.end(),
-            s.requestLatencySamplesUs.begin(),
-            s.requestLatencySamplesUs.end());
-    }
-    merged.malformedFrames +=
-        static_cast<std::size_t>(frontMalformed_->value());
-    merged.callbackErrors +=
-        static_cast<std::size_t>(frontCallbackErrors_->value());
-    merged.meanBatchRows =
-        merged.batches > 0 ? static_cast<double>(merged.rowsServed) /
-                                 static_cast<double>(merged.batches)
-                           : 0.0;
-    fillPercentiles(merged.batchLatencySamplesUs,
-                    merged.p50BatchLatencyUs, merged.p99BatchLatencyUs);
-    fillPercentiles(merged.requestLatencySamplesUs,
-                    merged.p50RequestLatencyUs,
-                    merged.p99RequestLatencyUs);
-
-    // Lane slices: every shard has the same lane layout (one shared
-    // ServerConfig), so merge index-wise.
-    std::size_t lane_count =
-        shardStats_.empty() ? 0 : shardStats_[0].lanes.size();
-    merged.lanes.resize(lane_count);
-    for (std::size_t lane = 0; lane < lane_count; ++lane) {
-        LaneStats &out = merged.lanes[lane];
-        for (const ServerStats &s : shardStats_) {
-            if (lane >= s.lanes.size())
-                continue;
-            const LaneStats &in = s.lanes[lane];
-            out.queue += in.queue;
-            out.rowsServed += in.rowsServed;
-            out.rowsFailed += in.rowsFailed;
-            out.batches += in.batches;
-            out.requestLatencySamplesUs.insert(
-                out.requestLatencySamplesUs.end(),
-                in.requestLatencySamplesUs.begin(),
-                in.requestLatencySamplesUs.end());
-        }
-        fillPercentiles(out.requestLatencySamplesUs,
-                        out.p50RequestLatencyUs,
-                        out.p99RequestLatencyUs);
-    }
-
-    // Model slices (routed form): same route on every shard, so the
-    // model list is index-aligned across shards too.
-    std::size_t model_count =
-        shardStats_.empty() ? 0 : shardStats_[0].models.size();
-    merged.models.resize(model_count);
-    for (std::size_t m = 0; m < model_count; ++m) {
+    for (std::size_t m = 0; m < merged.models.size(); ++m) {
+        // Every shard reads the one shared registry, so shard 0's
+        // active version is the run's. "closed" everywhere merges to
+        // closed; any tripped shard surfaces its state (first one
+        // wins — enough to flag it).
         ModelStats &out = merged.models[m];
-        out.name = shardStats_[0].models[m].name;
-        out.activeVersion = shardStats_[0].models[m].activeVersion;
-        for (const ServerStats &s : shardStats_) {
-            if (m >= s.models.size())
-                continue;
-            const ModelStats &in = s.models[m];
-            out.rowsServed += in.rowsServed;
-            out.batches += in.batches;
-            out.breakerOpens += in.breakerOpens;
-            out.breakerFallbackRows += in.breakerFallbackRows;
-            // "closed" everywhere merges to closed; any tripped shard
-            // surfaces its state (first one wins — enough to flag it).
-            if (out.breakerState == "closed" &&
-                in.breakerState != "closed")
-                out.breakerState = in.breakerState;
-            out.stepLatencySamplesUs.insert(
-                out.stepLatencySamplesUs.end(),
-                in.stepLatencySamplesUs.begin(),
-                in.stepLatencySamplesUs.end());
-        }
-        fillPercentiles(out.stepLatencySamplesUs, out.p50StepLatencyUs,
-                        out.p99StepLatencyUs);
+        out.activeVersion = shardStats_.front().models[m].activeVersion;
+        for (const ServerStats &s : shardStats_)
+            if (out.breakerState == "closed")
+                out.breakerState = s.models[m].breakerState;
     }
 
     mergedStats_ = merged;

@@ -27,14 +27,15 @@
  * ticketBase s << 48 (ShardedServer::shardOfTicket recovers the shard
  * from a ticket), so merged drop/failure reports never collide.
  *
- * stop() stops every shard and merges their ServerStats: counters,
- * lane slices, and model slices are summed field-wise; latency
- * percentiles are recomputed from the concatenated reservoir
- * snapshots (exact whenever no shard overflowed its 64k reservoir —
- * merging two reservoirs by concatenation is sample-count-weighted,
- * which is the right weighting when both are exhaustive). Per-shard
- * stats stay available via shardStats() for per-shard reporting
- * (homc --serve-shards prints both).
+ * stop() stops every shard, merges the shards' registry snapshots and
+ * the front door's (MetricsSnapshot::merge, no shard label: counters
+ * sum, reservoirs concatenate) and materializes the merged ServerStats
+ * through statsFromSnapshot — the same function Server::stop uses — so
+ * merged percentiles rank the pooled reservoirs (exact whenever no
+ * shard overflowed its 64k reservoir). Only wall time (the longest
+ * shard's), each model's active version, and breaker state (first
+ * tripped shard wins) come from the per-shard stats, which stay
+ * available via shardStats() (homc --serve-shards prints both).
  *
  * Verdict/trace/drop/failure callbacks are shared by all shards and
  * run on N batcher threads concurrently — they must be thread-safe

@@ -19,13 +19,15 @@
  * stable pointer; hot-path updates after that are lock-free for
  * counters/gauges and per-instrument-mutex for histograms — no shared
  * lock is ever taken on the serving fast path. snapshot() captures a
- * consistent view, and MetricsSnapshot::merge implements the one true
- * cross-shard merge (counters sum, gauges sum, reservoirs concatenate)
- * that ShardedServer::stop and the stats exporter both use.
+ * consistent view, and MetricsSnapshot::merge implements the one
+ * cross-shard merge (counters sum, gauges sum, reservoirs concatenate):
+ * ShardedServer::stop merges its shards' snapshots and hands the result
+ * to statsFromSnapshot (server.hpp), the one function that builds a
+ * ServerStats, and the stats exporter dumps merged snapshots as-is.
  *
- * The legacy public structs (QueueCounters, ServerStats, LaneStats,
- * BreakerSnapshot, ...) survive as thin views materialized from these
- * instruments, bit-identical to their pre-refactor values.
+ * The public structs (QueueCounters, ServerStats, LaneStats,
+ * BreakerSnapshot, ...) are thin views materialized from these
+ * instruments.
  *
  * Request-lifecycle spans ride alongside: an opt-in TraceSink records
  * one fixed-size RequestSpan per finished request (ticket, lane,

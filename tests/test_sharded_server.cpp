@@ -4,14 +4,17 @@
  * flow affinity (one flow key -> one shard, forever, with per-flow
  * verdict order preserved), verdict bit-exactness against a single
  * plan run, globally unique tickets with shard recovery, merged
- * ServerStats (counters summed, percentiles recomputed from the
- * concatenated reservoirs), consistent-hash spread across shards, and
- * the routed (registry-backed) form. The multi-shard submit/verdict
- * paths run under TSAN in CI (ShardedServer* is in the filter).
+ * ServerStats (counters summed, percentiles ranked over the pooled
+ * reservoirs), consistent-hash spread across shards, the routed
+ * (registry-backed) form, and the serving invariants with faults,
+ * aging, early drop, chain deadlines and shards armed together. The
+ * multi-shard submit/verdict paths run under TSAN in CI
+ * (ShardedServer* is in the filter).
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "math/stats.hpp"
 #include "net/feature_extract.hpp"
 #include "net/packet.hpp"
 #include "runtime/sharded_server.hpp"
@@ -256,8 +260,15 @@ TEST(ShardedServer, StopMergesShardStatsAndKeepsPerShardSlices)
     EXPECT_GT(merged.p50RequestLatencyUs, 0.0);
     EXPECT_GE(merged.p99RequestLatencyUs, merged.p50RequestLatencyUs);
     EXPECT_GT(merged.p50BatchLatencyUs, 0.0);
-    // The merged percentiles come from the concatenated reservoirs.
-    EXPECT_EQ(merged.requestLatencySamplesUs.size(), kRows);
+    // The merged percentiles rank the pooled reservoirs: every shard's
+    // request-latency histogram counts, summed, cover every row.
+    const homunculus::runtime::telemetry::MetricsSnapshot snap =
+        server.metricsSnapshot();
+    std::uint64_t latency_count = 0;
+    for (std::size_t s = 0; s < server.shards(); ++s)
+        latency_count += snap.counterValue(
+            "server.request_latency_us", {{"shard", std::to_string(s)}});
+    EXPECT_EQ(latency_count, kRows);
 
     // stop() is idempotent and keeps returning the merged view.
     EXPECT_EQ(server.stop().rowsServed, kRows);
@@ -426,4 +437,161 @@ TEST(ShardedServer, MetricsSnapshotTagsShardsAndSumsToMergedStats)
         EXPECT_EQ(snap.counterValue("server.malformed_frames",
                                     {{"shard", std::to_string(s)}}),
                   0u);
+}
+
+// ------------------------------------- invariants, everything armed
+
+TEST(ShardedServer, InvariantsHoldWithFaultsAgingDeadlinesAndShards)
+{
+    namespace hf = homunculus::runtime::faults;
+    namespace ht = homunculus::runtime::telemetry;
+    constexpr std::size_t kRows = 3000;
+    hi::ModelIr front_ir = mlpModel(71, 4, 3);
+    hi::ModelIr deep_ir = mlpModel(72, 4, 3);
+    hm::Matrix x = featureRows(73, kRows, 4);
+    auto registry = std::make_shared<hr::ModelRegistry>();
+    registry->load("front", front_ir);
+    registry->load("deep", deep_ir);
+
+    // Chain on the entry model's first label so a real share of rows
+    // takes the second hop (and can blow the chain deadline).
+    int hot = hr::InferenceEngine::fromModel(front_ir, {}).run(x).front();
+    hr::RouteConfig route;
+    route.defaultModel = "front";
+    route.chain = {{"front", hot, "deep"}};
+    route.deadlineUs = 300;
+
+    hf::FaultInjector injector;
+    injector.arm(hf::kSiteRouterHop, 0.2, 5);
+    injector.arm(hf::kSiteQueueFlush, 0.1, 6);
+
+    // The bulk lane drops rows older than 1 ms at flush; the probe
+    // lane's drop budget is out of reach, so its poison rows below
+    // always reach the batcher and fail — on slow (sanitized) builds
+    // too, where most bulk rows age out.
+    hr::ShardedServerConfig config;
+    config.shards = 2;
+    config.server.queue = {8, 100, 256, 60'000'000};  // probe lane.
+    config.server.extraLanes = {{64, 400, 0, 1000}};   // bulk lane.
+    config.server.backpressure = hr::BackpressureMode::kEarlyDrop;
+    config.server.fairnessAgingUs = 100;
+    config.server.retryDepth = 2;
+    config.server.injector = &injector;
+    hr::ShardedServer server(registry, route, config);
+
+    // Non-finite rows are poison: their batch throws, bisect-retries,
+    // and fails the slice the poison row ends up in.
+    std::vector<double> poison(4, std::numeric_limits<double>::quiet_NaN());
+    for (std::uint64_t flow = 0; flow < 4; ++flow)
+        ASSERT_TRUE(server.submit(flow * 7919u, poison, 0).admitted());
+    for (std::size_t r = 0; r < kRows; ++r)
+        server.submit(r * 0x9e3779b9u, x.row(r), r % 4 == 0 ? 0 : 1);
+    EXPECT_EQ(server.submitFrame({0xde, 0xad}).status,
+              hr::SubmitStatus::kMalformed);
+    hr::ServerStats merged = server.stop();
+    const std::vector<hr::ServerStats> &shards = server.shardStats();
+    ASSERT_EQ(shards.size(), 2u);
+    const ht::MetricsSnapshot snap = server.metricsSnapshot();
+
+    // Retries and failures happened, so the invariants below are not
+    // vacuous.
+    EXPECT_GE(merged.failedRows, 4u);
+    EXPECT_GT(merged.retriedBatches, 0u);
+    EXPECT_GT(merged.rowsServed, 0u);
+    EXPECT_EQ(merged.malformedFrames, 1u);
+
+    // 1. Every admitted request resolves exactly once, per shard and
+    //    merged.
+    auto resolved = [](const hr::ServerStats &stats) {
+        return stats.rowsServed + stats.failedRows +
+               stats.queue.earlyDropped;
+    };
+    for (const hr::ServerStats &shard : shards)
+        EXPECT_EQ(resolved(shard), shard.queue.accepted);
+    EXPECT_EQ(resolved(merged), merged.queue.accepted);
+
+    // 2. Every merged counter is the sum over the shards plus the
+    //    front door (which only ever counts malformed frames and their
+    //    callback errors).
+    auto front = [&](const char *name) {
+        return static_cast<std::size_t>(
+            snap.counterValue(name, {{"shard", "front"}}));
+    };
+    auto sum = [&](auto field) {
+        std::size_t total = 0;
+        for (const hr::ServerStats &shard : shards)
+            total += field(shard);
+        return total;
+    };
+    EXPECT_EQ(merged.rowsServed, sum([](auto &s) { return s.rowsServed; }));
+    EXPECT_EQ(merged.batches, sum([](auto &s) { return s.batches; }));
+    EXPECT_EQ(merged.failedBatches,
+              sum([](auto &s) { return s.failedBatches; }));
+    EXPECT_EQ(merged.failedRows, sum([](auto &s) { return s.failedRows; }));
+    EXPECT_EQ(merged.retriedBatches,
+              sum([](auto &s) { return s.retriedBatches; }));
+    EXPECT_EQ(merged.deadlineTruncated,
+              sum([](auto &s) { return s.deadlineTruncated; }));
+    EXPECT_EQ(merged.fallbackRows,
+              sum([](auto &s) { return s.fallbackRows; }));
+    EXPECT_EQ(merged.malformedFrames,
+              sum([](auto &s) { return s.malformedFrames; }) +
+                  front("server.malformed_frames"));
+    EXPECT_EQ(merged.callbackErrors,
+              sum([](auto &s) { return s.callbackErrors; }) +
+                  front("server.callback_errors"));
+    auto expect_queue_sum = [&](const hr::QueueCounters &out,
+                                auto lane_of) {
+        hr::QueueCounters total;
+        for (const hr::ServerStats &shard : shards)
+            total += lane_of(shard);
+        EXPECT_EQ(out.accepted, total.accepted);
+        EXPECT_EQ(out.shed, total.shed);
+        EXPECT_EQ(out.blockTimeouts, total.blockTimeouts);
+        EXPECT_EQ(out.earlyDropped, total.earlyDropped);
+        EXPECT_EQ(out.rejectedClosed, total.rejectedClosed);
+        EXPECT_EQ(out.sizeFlushes, total.sizeFlushes);
+        EXPECT_EQ(out.deadlineFlushes, total.deadlineFlushes);
+        EXPECT_EQ(out.drainFlushes, total.drainFlushes);
+        EXPECT_EQ(out.agedFlushes, total.agedFlushes);
+    };
+    expect_queue_sum(merged.queue, [](auto &s) { return s.queue; });
+    ASSERT_EQ(merged.lanes.size(), 2u);
+    for (std::size_t lane = 0; lane < merged.lanes.size(); ++lane) {
+        const hr::LaneStats &out = merged.lanes[lane];
+        expect_queue_sum(out.queue,
+                         [&](auto &s) { return s.lanes[lane].queue; });
+        EXPECT_EQ(out.rowsServed,
+                  sum([&](auto &s) { return s.lanes[lane].rowsServed; }));
+        EXPECT_EQ(out.rowsFailed,
+                  sum([&](auto &s) { return s.lanes[lane].rowsFailed; }));
+        EXPECT_EQ(out.batches,
+                  sum([&](auto &s) { return s.lanes[lane].batches; }));
+    }
+    ASSERT_EQ(merged.models.size(), 2u);
+    for (std::size_t m = 0; m < merged.models.size(); ++m) {
+        const hr::ModelStats &out = merged.models[m];
+        EXPECT_EQ(out.rowsServed,
+                  sum([&](auto &s) { return s.models[m].rowsServed; }));
+        EXPECT_EQ(out.batches,
+                  sum([&](auto &s) { return s.models[m].batches; }));
+        EXPECT_EQ(out.breakerOpens,
+                  sum([&](auto &s) { return s.models[m].breakerOpens; }));
+        EXPECT_EQ(out.breakerFallbackRows, sum([&](auto &s) {
+                      return s.models[m].breakerFallbackRows;
+                  }));
+    }
+
+    // 3. Merged percentiles are the nearest-rank values over every
+    //    shard's request-latency samples, pooled.
+    std::vector<double> pooled;
+    for (const ht::MetricsSnapshot::Entry &entry : snap.entries)
+        if (entry.name == "server.request_latency_us")
+            pooled.insert(pooled.end(), entry.samples.begin(),
+                          entry.samples.end());
+    EXPECT_EQ(pooled.size(), merged.rowsServed);
+    EXPECT_EQ(merged.p50RequestLatencyUs,
+              hm::percentileNearestRank(pooled, 0.50));
+    EXPECT_EQ(merged.p99RequestLatencyUs,
+              hm::percentileNearestRank(pooled, 0.99));
 }

@@ -33,6 +33,11 @@
  *                                  --serve-swap-after hot-swap hook
  *   homc --list-platforms          enumerate the backend registry
  *   homc --list-passes             enumerate the IR pass registry
+ *
+ * --serve and --serve-model run one serve path (runServe): they
+ * differ only in how the server is built — the compiled winner with
+ * its training-time scaler, or a ModelRegistry behind a Router — and
+ * print the same summary block.
  */
 #include <cctype>
 #include <chrono>
@@ -195,18 +200,17 @@ loadReplayTrace(const std::string &trace)
 }
 
 /**
- * Resolve the serving-time feature scaler. Artifacts since
- * homunculus-ir v3 record the provenance either way: stored moments win,
- * and a model recorded as trained on raw features is served raw — no
- * scaler is invented for it. Only legacy artifacts (no provenance at
- * all) fall back to refitting statistics on the trace itself, the old
- * approximation. --replay-raw disables scaling entirely.
- * @p provenance receives a printable description of the choice.
+ * Resolve the serving-time feature scaler from the artifact's recorded
+ * provenance (homunculus-ir v3+): stored moments win, and a model
+ * recorded as trained on raw features is served raw — no scaler is
+ * invented for it. homc only serves models its compiler just produced,
+ * whose trainer always records the provenance. --replay-raw disables
+ * scaling entirely. @p provenance receives a printable description of
+ * the choice.
  */
 std::optional<ml::StandardScaler>
 resolveServingScaler(const CliOptions &options,
                      const homunculus::ir::ModelIr &model,
-                     const std::vector<std::vector<std::uint8_t>> &frames,
                      std::string &provenance)
 {
     if (options.replayRaw) {
@@ -218,25 +222,18 @@ resolveServingScaler(const CliOptions &options,
         return ml::StandardScaler::fromMoments(model.scalerMeans,
                                                model.scalerStds);
     }
-    if (model.scalerRecorded) {
-        provenance = "artifact (model trained on raw features)";
-        return std::nullopt;
-    }
-    provenance = "trace-refit (artifact predates ir v3)";
-    net::FeatureExtractor extractor;
-    std::vector<std::vector<double>> rows;
-    for (const auto &frame : frames)
-        if (auto features = extractor.extractFromWire(frame))
-            rows.push_back(std::move(*features));
-    if (rows.empty())
-        return std::nullopt;
-    math::Matrix m(rows.size(), rows.front().size());
-    for (std::size_t r = 0; r < rows.size(); ++r)
-        for (std::size_t c = 0; c < rows[r].size(); ++c)
-            m(r, c) = rows[r][c];
-    ml::StandardScaler fitted;
-    fitted.fit(m);
-    return fitted;
+    provenance = "artifact (model trained on raw features)";
+    return std::nullopt;
+}
+
+/** The closing "verdicts  :" line: one count per class label. */
+void
+printVerdicts(const std::map<int, std::size_t> &verdict_counts)
+{
+    std::cout << "verdicts  :";
+    for (const auto &[verdict, count] : verdict_counts)
+        std::cout << " class " << verdict << " x" << count;
+    std::cout << "\n";
 }
 
 /** Serving mode: replay a trace through the winner on the streaming
@@ -264,7 +261,7 @@ runReplay(const CliOptions &options, const homunculus::ir::ModelIr &model)
 
     std::string scaler_provenance;
     std::optional<ml::StandardScaler> scaler =
-        resolveServingScaler(options, model, frames, scaler_provenance);
+        resolveServingScaler(options, model, scaler_provenance);
     std::cout << "scaler    : " << scaler_provenance << "\n";
     printKernelLine(std::cout);
 
@@ -287,10 +284,7 @@ runReplay(const CliOptions &options, const homunculus::ir::ModelIr &model)
         "(extract %.3fs, infer %.3fs, wall %.3fs)\n",
         stats.p50BatchLatencyUs, stats.p99BatchLatencyUs,
         stats.extractSeconds, stats.inferSeconds, stats.wallSeconds);
-    std::cout << "verdicts  :";
-    for (const auto &[verdict, count] : verdict_counts)
-        std::cout << " class " << verdict << " x" << count;
-    std::cout << "\n";
+    printVerdicts(verdict_counts);
 }
 
 /**
@@ -314,7 +308,7 @@ armServeFaults(const CliOptions &options)
     std::cout << "\n";
 }
 
-/** The post-run fault-tolerance summary both serving modes print. */
+/** The post-run fault-tolerance summary of a serve run. */
 void
 printFaultSummary(const runtime::ServerStats &stats)
 {
@@ -338,8 +332,8 @@ printFaultSummary(const runtime::ServerStats &stats)
     std::cout << "\n";
 }
 
-/** Per-shard stats lines both serving modes print after stop() when
- *  --serve-shards splits the front door. */
+/** Per-shard stats lines printed after stop() when --serve-shards
+ *  splits the front door. */
 void
 printShardLines(const runtime::ShardedServer &server)
 {
@@ -434,185 +428,16 @@ dumpServeStats(const CliOptions &options,
 }
 
 /**
- * Async serving mode: feed the trace into runtime::Server as an
- * open-loop arrival process at --serve-rate rows/s (0 = as fast as
- * submission runs) and report admission, batching-policy, and latency
- * statistics — per lane when --serve-lanes splits the trace into a
- * probe lane and bulk lanes. Unlike --replay (whole trace, fixed
- * micro-batches), this exercises the per-lane deadline-vs-size batcher
- * and the configured backpressure mode.
+ * The --serve-model side of runServe: load the pre-compiled
+ * homunculus-ir artifacts into a ModelRegistry (no compile happens at
+ * all) and bind lanes, chain rules and fallbacks into @p route,
+ * printing one line per model version, chain rule and fallback.
  */
-void
-runServe(const CliOptions &options, const homunculus::ir::ModelIr &model)
+std::shared_ptr<runtime::ModelRegistry>
+loadServeRegistry(const CliOptions &options,
+                  const runtime::EngineOptions &engine_options,
+                  runtime::RouteConfig &route)
 {
-    auto frames = loadReplayTrace(options.serve);
-    std::vector<runtime::QueuePolicy> lanes = tools::lanePolicies(options);
-    std::cout << "\nserve     : " << options.serve << " ("
-              << frames.size() << " frames, " << lanes.size()
-              << (lanes.size() == 1 ? " lane, " : " lanes, ")
-              << runtime::backpressureModeName(options.serveBackpressure)
-              << " backpressure, rate "
-              << (options.serveRate <= 0.0
-                      ? std::string("max")
-                      : common::format("%.0f/s", options.serveRate))
-              << ")\n";
-    for (std::size_t lane = 0; lane < lanes.size(); ++lane)
-        std::cout << common::format(
-            "lane %zu    : maxBatch %zu, maxDelay %llu us, depth %zu\n",
-            lane, lanes[lane].maxBatch,
-            static_cast<unsigned long long>(lanes[lane].maxDelayUs),
-            lanes[lane].maxDepth);
-    printScaleOutLines(options);
-
-    std::string scaler_provenance;
-    std::optional<ml::StandardScaler> scaler =
-        resolveServingScaler(options, model, frames, scaler_provenance);
-    std::cout << "scaler    : " << scaler_provenance << "\n";
-    printKernelLine(std::cout);
-
-    runtime::EngineOptions engine_options;
-    engine_options.jobs = options.inferJobs;
-    engine_options.minRowsToShard = 1;
-
-    runtime::ServerConfig server_config;
-    server_config.queue = lanes.front();
-    server_config.extraLanes.assign(lanes.begin() + 1, lanes.end());
-    server_config.backpressure = options.serveBackpressure;
-    server_config.blockTimeoutUs = options.serveBlockTimeoutUs;
-    server_config.retryDepth = options.serveRetryDepth;
-    server_config.fairnessAgingUs = options.serveAgingUs;
-    armServeFaults(options);
-    auto trace_sink = makeTraceSink(options);
-    server_config.trace = trace_sink.get();
-
-    std::mutex verdict_mutex;
-    std::map<int, std::size_t> verdict_counts;
-    auto on_verdict = [&](const runtime::Request &, int verdict) {
-        std::lock_guard<std::mutex> lock(verdict_mutex);
-        ++verdict_counts[verdict];
-    };
-    // --serve-shards > 1 swaps the single Server for a ShardedServer
-    // front door; frames still enter via submitFrame, which keys each
-    // one by its 5-tuple so a flow sticks to one shard.
-    std::unique_ptr<runtime::Server> server;
-    std::unique_ptr<runtime::ShardedServer> sharded;
-    if (options.serveShards > 1) {
-        runtime::ShardedServerConfig sharded_config;
-        sharded_config.shards = options.serveShards;
-        sharded_config.server = server_config;
-        sharded = std::make_unique<runtime::ShardedServer>(
-            runtime::InferenceEngine::fromModel(model, engine_options),
-            sharded_config, on_verdict, std::move(scaler));
-    } else {
-        server = std::make_unique<runtime::Server>(
-            runtime::InferenceEngine::fromModel(model, engine_options),
-            server_config, on_verdict, std::move(scaler));
-    }
-
-    using Clock = std::chrono::steady_clock;
-    auto started = Clock::now();
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        if (options.serveRate > 0.0) {
-            // Open-loop pacing: submit frame i at its scheduled arrival
-            // time regardless of how the server is keeping up.
-            auto due = started + std::chrono::duration_cast<
-                                     Clock::duration>(
-                                     std::chrono::duration<double>(
-                                         static_cast<double>(i) /
-                                         options.serveRate));
-            std::this_thread::sleep_until(due);
-        }
-        std::size_t lane = tools::laneForFrame(i, options);
-        if (sharded)
-            sharded->submitFrame(frames[i], lane);
-        else
-            server->submitFrame(frames[i], lane);
-        if (options.serveStatsEvery != 0 &&
-            (i + 1) % options.serveStatsEvery == 0)
-            printStatsLine(i + 1,
-                           sharded ? sharded->metricsSnapshot()
-                                   : server->metrics().snapshot());
-    }
-    runtime::ServerStats stats = sharded ? sharded->stop()
-                                         : server->stop();
-
-    std::cout << common::format(
-        "admitted  : %llu rows (%llu shed, %llu early-dropped, "
-        "%zu malformed) in %zu batches (mean %.1f rows)\n",
-        static_cast<unsigned long long>(stats.queue.accepted),
-        static_cast<unsigned long long>(stats.queue.shed),
-        static_cast<unsigned long long>(stats.queue.earlyDropped),
-        stats.malformedFrames, stats.batches, stats.meanBatchRows);
-    std::cout << common::format(
-        "flushes   : %llu size / %llu deadline / %llu drain\n",
-        static_cast<unsigned long long>(stats.queue.sizeFlushes),
-        static_cast<unsigned long long>(stats.queue.deadlineFlushes),
-        static_cast<unsigned long long>(stats.queue.drainFlushes));
-    std::cout << common::format(
-        "latency   : request p50 %.1f us / p99 %.1f us, batch infer "
-        "p50 %.1f us / p99 %.1f us (wall %.3fs)\n",
-        stats.p50RequestLatencyUs, stats.p99RequestLatencyUs,
-        stats.p50BatchLatencyUs, stats.p99BatchLatencyUs,
-        stats.wallSeconds);
-    if (stats.lanes.size() > 1)
-        for (std::size_t lane = 0; lane < stats.lanes.size(); ++lane) {
-            const runtime::LaneStats &ls = stats.lanes[lane];
-            std::cout << common::format(
-                "lane %zu    : served %zu (%llu shed, %llu dropped), "
-                "request p50 %.1f us / p99 %.1f us\n",
-                lane, ls.rowsServed,
-                static_cast<unsigned long long>(ls.queue.shed),
-                static_cast<unsigned long long>(ls.queue.earlyDropped),
-                ls.p50RequestLatencyUs, ls.p99RequestLatencyUs);
-        }
-    if (sharded)
-        printShardLines(*sharded);
-    printFaultSummary(stats);
-    dumpServeStats(options,
-                   sharded ? sharded->metricsSnapshot()
-                           : server->metrics().snapshot(),
-                   trace_sink.get());
-    std::cout << "verdicts  :";
-    for (const auto &[verdict, count] : verdict_counts)
-        std::cout << " class " << verdict << " x" << count;
-    std::cout << "\n";
-}
-
-/**
- * Multi-model serving mode (--serve-model): load pre-compiled
- * homunculus-ir artifacts into a ModelRegistry, bind lanes and chain
- * rules through a Router, and feed the trace exactly like runServe —
- * no compile happens at all. The --serve-swap-after hook hot-swaps a
- * model's active plan mid-run; batches in flight finish on the version
- * that admitted them, the next batch picks up the new one. Per-model
- * stats print after the per-lane block.
- */
-void
-runServeRegistry(const CliOptions &options)
-{
-    auto frames = loadReplayTrace(options.serve);
-    std::vector<runtime::QueuePolicy> lanes = tools::lanePolicies(options);
-    std::cout << "\nserve     : " << options.serve << " ("
-              << frames.size() << " frames, " << lanes.size()
-              << (lanes.size() == 1 ? " lane, " : " lanes, ")
-              << runtime::backpressureModeName(options.serveBackpressure)
-              << " backpressure, rate "
-              << (options.serveRate <= 0.0
-                      ? std::string("max")
-                      : common::format("%.0f/s", options.serveRate))
-              << ")\n";
-    for (std::size_t lane = 0; lane < lanes.size(); ++lane)
-        std::cout << common::format(
-            "lane %zu    : maxBatch %zu, maxDelay %llu us, depth %zu\n",
-            lane, lanes[lane].maxBatch,
-            static_cast<unsigned long long>(lanes[lane].maxDelayUs),
-            lanes[lane].maxDepth);
-    printScaleOutLines(options);
-
-    printKernelLine(std::cout);
-    runtime::EngineOptions engine_options;
-    engine_options.jobs = options.inferJobs;
-    engine_options.minRowsToShard = 1;
     auto registry =
         std::make_shared<runtime::ModelRegistry>(engine_options);
     for (const auto &[name, path] : options.serveModels) {
@@ -626,7 +451,6 @@ runServeRegistry(const CliOptions &options)
             epoch->scaler ? "artifact" : "raw");
     }
 
-    runtime::RouteConfig route;
     route.defaultModel = options.serveModels.front().first;
     route.laneModels = options.serveLaneModels;
     route.chain = options.serveChain;
@@ -651,6 +475,62 @@ runServeRegistry(const CliOptions &options)
         std::cout << common::format(" (breaker threshold %zu)\n",
                                     route.breakerThreshold);
     }
+    return registry;
+}
+
+/**
+ * Async serving mode: feed the trace into runtime::Server as an
+ * open-loop arrival process at --serve-rate rows/s (0 = as fast as
+ * submission runs) and report admission, batching-policy, and latency
+ * statistics — per lane when --serve-lanes splits the trace into a
+ * probe lane and bulk lanes, per shard when --serve-shards splits the
+ * front door. Unlike --replay (whole trace, fixed micro-batches), this
+ * exercises the per-lane deadline-vs-size batcher and the configured
+ * backpressure mode.
+ *
+ * The two entry points differ only in how the server is built:
+ * @p model is the winner just compiled, served with its training-time
+ * scaler; null serves the --serve-model artifacts through a
+ * ModelRegistry + Router, where the --serve-swap-after hook hot-swaps a
+ * model's active plan mid-run (batches in flight finish on the version
+ * that admitted them) and per-model stats print after the lane block.
+ */
+void
+runServe(const CliOptions &options, const homunculus::ir::ModelIr *model)
+{
+    auto frames = loadReplayTrace(options.serve);
+    std::vector<runtime::QueuePolicy> lanes = tools::lanePolicies(options);
+    std::cout << "\nserve     : " << options.serve << " ("
+              << frames.size() << " frames, " << lanes.size()
+              << (lanes.size() == 1 ? " lane, " : " lanes, ")
+              << runtime::backpressureModeName(options.serveBackpressure)
+              << " backpressure, rate "
+              << (options.serveRate <= 0.0
+                      ? std::string("max")
+                      : common::format("%.0f/s", options.serveRate))
+              << ")\n";
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane)
+        std::cout << common::format(
+            "lane %zu    : maxBatch %zu, maxDelay %llu us, depth %zu\n",
+            lane, lanes[lane].maxBatch,
+            static_cast<unsigned long long>(lanes[lane].maxDelayUs),
+            lanes[lane].maxDepth);
+    printScaleOutLines(options);
+
+    std::optional<ml::StandardScaler> scaler;
+    if (model != nullptr) {
+        std::string scaler_provenance;
+        scaler = resolveServingScaler(options, *model, scaler_provenance);
+        std::cout << "scaler    : " << scaler_provenance << "\n";
+    }
+    printKernelLine(std::cout);
+    runtime::EngineOptions engine_options;
+    engine_options.jobs = options.inferJobs;
+    engine_options.minRowsToShard = 1;
+    runtime::RouteConfig route;
+    std::shared_ptr<runtime::ModelRegistry> registry;
+    if (model == nullptr)
+        registry = loadServeRegistry(options, engine_options, route);
 
     runtime::ServerConfig server_config;
     server_config.queue = lanes.front();
@@ -669,20 +549,37 @@ runServeRegistry(const CliOptions &options)
         std::lock_guard<std::mutex> lock(verdict_mutex);
         ++verdict_counts[verdict];
     };
-    // Sharded registry serving: shards share the registry (a hot swap
-    // hits every shard at its next batch) but each runs its own Router.
+    // --serve-shards > 1 swaps the single Server for a ShardedServer
+    // front door; frames still enter via submitFrame, which keys each
+    // one by its 5-tuple so a flow sticks to one shard. Registry shards
+    // share the registry (a hot swap hits every shard at its next
+    // batch) but each runs its own Router.
     std::unique_ptr<runtime::Server> server;
     std::unique_ptr<runtime::ShardedServer> sharded;
-    if (options.serveShards > 1) {
-        runtime::ShardedServerConfig sharded_config;
-        sharded_config.shards = options.serveShards;
-        sharded_config.server = server_config;
+    runtime::ShardedServerConfig sharded_config;
+    sharded_config.shards = options.serveShards;
+    sharded_config.server = server_config;
+    if (model != nullptr) {
+        auto engine =
+            runtime::InferenceEngine::fromModel(*model, engine_options);
+        if (options.serveShards > 1)
+            sharded = std::make_unique<runtime::ShardedServer>(
+                engine, sharded_config, on_verdict, std::move(scaler));
+        else
+            server = std::make_unique<runtime::Server>(
+                std::move(engine), server_config, on_verdict,
+                std::move(scaler));
+    } else if (options.serveShards > 1) {
         sharded = std::make_unique<runtime::ShardedServer>(
             registry, route, sharded_config, on_verdict);
     } else {
         server = std::make_unique<runtime::Server>(
             registry, route, server_config, on_verdict);
     }
+    auto snapshot = [&] {
+        return sharded ? sharded->metricsSnapshot()
+                       : server->metrics().snapshot();
+    };
 
     using Clock = std::chrono::steady_clock;
     auto started = Clock::now();
@@ -700,6 +597,8 @@ runServeRegistry(const CliOptions &options)
     };
     for (std::size_t i = 0; i < frames.size(); ++i) {
         if (options.serveRate > 0.0) {
+            // Open-loop pacing: submit frame i at its scheduled arrival
+            // time regardless of how the server is keeping up.
             auto due = started + std::chrono::duration_cast<
                                      Clock::duration>(
                                      std::chrono::duration<double>(
@@ -717,9 +616,7 @@ runServeRegistry(const CliOptions &options)
             fire_swap(i + 1);
         if (options.serveStatsEvery != 0 &&
             (i + 1) % options.serveStatsEvery == 0)
-            printStatsLine(i + 1,
-                           sharded ? sharded->metricsSnapshot()
-                                   : server->metrics().snapshot());
+            printStatsLine(i + 1, snapshot());
     }
     // A trace shorter than N still honors the hook (exercised last).
     if (options.serveSwapAfter != 0 && !swapped)
@@ -735,7 +632,12 @@ runServeRegistry(const CliOptions &options)
         static_cast<unsigned long long>(stats.queue.earlyDropped),
         stats.malformedFrames, stats.batches, stats.meanBatchRows);
     std::cout << common::format(
-        "latency   : request p50 %.1f us / p99 %.1f us, batch "
+        "flushes   : %llu size / %llu deadline / %llu drain\n",
+        static_cast<unsigned long long>(stats.queue.sizeFlushes),
+        static_cast<unsigned long long>(stats.queue.deadlineFlushes),
+        static_cast<unsigned long long>(stats.queue.drainFlushes));
+    std::cout << common::format(
+        "latency   : request p50 %.1f us / p99 %.1f us, batch infer "
         "p50 %.1f us / p99 %.1f us (wall %.3fs)\n",
         stats.p50RequestLatencyUs, stats.p99RequestLatencyUs,
         stats.p50BatchLatencyUs, stats.p99BatchLatencyUs,
@@ -769,14 +671,8 @@ runServeRegistry(const CliOptions &options)
     if (sharded)
         printShardLines(*sharded);
     printFaultSummary(stats);
-    dumpServeStats(options,
-                   sharded ? sharded->metricsSnapshot()
-                           : server->metrics().snapshot(),
-                   trace_sink.get());
-    std::cout << "verdicts  :";
-    for (const auto &[verdict, count] : verdict_counts)
-        std::cout << " class " << verdict << " x" << count;
-    std::cout << "\n";
+    dumpServeStats(options, snapshot(), trace_sink.get());
+    printVerdicts(verdict_counts);
 }
 
 /** Registry-aware pass-name check, mirroring the --list-platforms style. */
@@ -896,7 +792,7 @@ main(int argc, char **argv)
         // Registry serving runs pre-compiled artifacts straight into
         // the multi-model plane — no spec, no search, no compile.
         try {
-            runServeRegistry(options);
+            runServe(options, nullptr);
         } catch (const std::exception &error) {
             std::cerr << "homc: " << error.what() << "\n";
             return 1;
@@ -1001,7 +897,7 @@ main(int argc, char **argv)
         if (!options.replay.empty())
             runReplay(options, model.model);
         if (!options.serve.empty())
-            runServe(options, model.model);
+            runServe(options, &model.model);
     } catch (const std::exception &error) {
         std::cerr << "homc: " << error.what() << "\n";
         return 1;
