@@ -28,8 +28,8 @@
  * the seed), which only the faulted configurations pay.
  *
  * Well-known sites (checked by runtime/ and tools/ code):
- *   engine.run        single-model Server batch execution
- *   router.hop        every routed model execution (also checked as
+ *   engine.run        every model execution (each Router hop)
+ *   router.hop        every model execution, before engine.run (also
  *                     "router.hop.<model>" to target one model)
  *   queue.flush       batch handoff from the RequestQueue to the batcher
  *   artifact.read     ModelRegistry::loadFile (global injector only)

@@ -19,8 +19,8 @@ ModelRegistry::ModelRegistry(EngineOptions engine_options,
 void
 ModelRegistry::count(const char *event, const std::string &name) const
 {
-    // Control-plane events only (loads, swaps, pins, unloads) — the
-    // resolve-under-mutex cost is fine off the per-row hot path.
+    // Control-plane events only (loads, swaps, unloads) — the
+    // resolve-under-mutex cost is fine off the per-batch hot path.
     metrics_->counter(event, {{"model", name}}).add();
 }
 
@@ -29,32 +29,46 @@ ModelRegistry::load(const std::string &name, const ir::ModelIr &model,
                     bool activate_if_first,
                     const std::optional<EngineOptions> &engine_options)
 {
-    if (name.empty())
-        throw std::runtime_error("ModelRegistry: model name is empty");
-    // Compile outside the lock: plan compilation is the expensive part
-    // and must not stall concurrent active() lookups on the serving
-    // path.
-    InferenceEngine engine = InferenceEngine::fromModel(
-        model, engine_options.value_or(engineOptions_));
     std::optional<ml::StandardScaler> scaler;
     if (model.hasScaler())
         scaler = ml::StandardScaler::fromMoments(model.scalerMeans,
                                                  model.scalerStds);
+    return load(name,
+                InferenceEngine::fromModel(
+                    model, engine_options.value_or(engineOptions_)),
+                std::move(scaler), activate_if_first);
+}
 
+std::uint64_t
+ModelRegistry::load(const std::string &name, InferenceEngine engine,
+                    std::optional<ml::StandardScaler> scaler,
+                    bool activate_if_first)
+{
+    if (name.empty())
+        throw std::runtime_error("ModelRegistry: model name is empty");
+    const std::size_t input_dim = engine.plan().inputDim();
+    const int num_classes = engine.plan().numClasses();
+    if (scaler && (!scaler->fitted() || scaler->means().size() != input_dim))
+        throw std::runtime_error("ModelRegistry: '" + name +
+                                 "' scaler is unfitted or not as wide "
+                                 "as the model");
+
+    // Compiling (the ModelIr form) happened outside the lock, so it
+    // never stalls concurrent active() lookups on the serving path.
     std::lock_guard<std::mutex> lock(mutex_);
     Entry &entry = entries_[name];
     if (entry.nextVersion == 1) {
-        entry.inputDim = model.inputDim;
-        entry.numClasses = model.numClasses;
-    } else if (model.inputDim != entry.inputDim ||
-               model.numClasses != entry.numClasses) {
+        entry.inputDim = input_dim;
+        entry.numClasses = num_classes;
+        entry.pins = &metrics_->counter("registry.pins", {{"model", name}});
+    } else if (input_dim != entry.inputDim ||
+               num_classes != entry.numClasses) {
         throw std::runtime_error(common::format(
             "ModelRegistry: '%s' v%llu is not a drop-in replacement "
             "(%zu features / %d classes, expected %zu / %d)",
             name.c_str(),
-            static_cast<unsigned long long>(entry.nextVersion),
-            model.inputDim, model.numClasses, entry.inputDim,
-            entry.numClasses));
+            static_cast<unsigned long long>(entry.nextVersion), input_dim,
+            num_classes, entry.inputDim, entry.numClasses));
     }
     std::uint64_t version = entry.nextVersion++;
     entry.loaded[version] = std::make_shared<const ModelEpoch>(
@@ -117,7 +131,7 @@ ModelRegistry::active(const std::string &name) const
     if (entry.active == 0)
         throw std::out_of_range("ModelRegistry: model '" + name +
                                 "' has no active version");
-    count("registry.pins", name);
+    entry.pins->add();
     return entry.loaded.at(entry.active);
 }
 

@@ -119,6 +119,15 @@ class ModelRegistry
                        const std::optional<EngineOptions>
                            &engine_options = std::nullopt);
 
+    /** load() of an already-built @p engine (its options and pool
+     *  kept) with @p scaler as its scaler provenance; the ModelIr form
+     *  compiles and calls this. Also throws std::runtime_error when
+     *  @p scaler is unfitted or not as wide as the model's input. */
+    std::uint64_t load(const std::string &name, InferenceEngine engine,
+                       std::optional<ml::StandardScaler> scaler =
+                           std::nullopt,
+                       bool activate_if_first = true);
+
     /** load() from a serialized `homunculus-ir` artifact file. */
     std::uint64_t loadFile(const std::string &name,
                            const std::string &path,
@@ -180,6 +189,8 @@ class ModelRegistry
         std::uint64_t nextVersion = 1;
         std::size_t inputDim = 0;  ///< pinned by the first load.
         int numClasses = 0;
+        /** "registry.pins" {model=name}, resolved at the first load. */
+        telemetry::Counter *pins = nullptr;
     };
 
     const Entry &entryFor(const std::string &name) const;

@@ -212,7 +212,7 @@ struct Request
 {
     std::uint64_t id = 0;               ///< caller-assigned ticket.
     std::size_t lane = 0;               ///< set by push().
-    std::vector<double> features;       ///< one model-input row.
+    std::vector<double> features;       ///< one raw (unscaled) row.
     std::chrono::steady_clock::time_point enqueuedAt;  ///< set by push().
 };
 

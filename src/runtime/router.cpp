@@ -384,6 +384,7 @@ Router::runBatch(const Snapshot &snapshot, std::size_t lane,
                         (std::string(faults::kSiteRouterHop) + "." +
                          models_[m])
                             .c_str());
+                    injector->maybe(faults::kSiteEngineRun);
                 }
                 epoch.engine.run(scratch.input, scratch.labels.data());
             } catch (...) {

@@ -219,8 +219,8 @@ class Router
      * one RouteStepStats per model execution to @p steps (cleared
      * first), and — when @p traces is non-null — records every hop per
      * request. @p injector, when non-null, is consulted at
-     * "router.hop" (and "router.hop.<model>") before every model
-     * execution.
+     * "router.hop", "router.hop.<model>" and "engine.run" (in that
+     * order) before every model execution.
      *
      * Failure semantics: a throwing model execution records a breaker
      * failure for that model and rethrows — the caller owns the batch

@@ -175,64 +175,60 @@ Server::bindInstruments()
         ins.requestLatencyUs =
             &reg.histogram("server.lane.request_latency_us", labels);
     }
-    if (router_) {
-        const std::vector<std::string> &names = router_->models();
-        modelIns_.resize(names.size());
-        spanModelIds_.resize(names.size(), 0);
-        for (std::size_t m = 0; m < names.size(); ++m) {
-            telemetry::Labels labels{{"model", names[m]}};
-            ModelInstruments &ins = modelIns_[m];
-            ins.rows = &reg.counter("server.model.rows", labels);
-            ins.steps = &reg.counter("server.model.steps", labels);
-            ins.stepLatencyUs =
-                &reg.histogram("server.model.step_latency_us", labels);
-            if (config_.trace != nullptr)
-                spanModelIds_[m] = config_.trace->internModel(names[m]);
-        }
+    const std::vector<std::string> &names = router_.models();
+    modelIns_.resize(names.size());
+    spanModelIds_.resize(names.size(), 0);
+    for (std::size_t m = 0; m < names.size(); ++m) {
+        telemetry::Labels labels{{"model", names[m]}};
+        ModelInstruments &ins = modelIns_[m];
+        ins.rows = &reg.counter("server.model.rows", labels);
+        ins.steps = &reg.counter("server.model.steps", labels);
+        ins.stepLatencyUs =
+            &reg.histogram("server.model.step_latency_us", labels);
+        if (config_.trace != nullptr)
+            spanModelIds_[m] = config_.trace->internModel(names[m]);
     }
+}
+
+std::shared_ptr<ModelRegistry>
+singleModelRegistry(InferenceEngine engine,
+                    std::optional<ml::StandardScaler> scaler)
+{
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->load(kSingleModelName, std::move(engine), std::move(scaler));
+    return registry;
+}
+
+RouteConfig
+singleModelRoute()
+{
+    RouteConfig route;
+    route.defaultModel = kSingleModelName;
+    return route;
 }
 
 Server::Server(InferenceEngine engine, ServerConfig config,
                VerdictFn on_verdict,
                std::optional<ml::StandardScaler> scaler)
-    : engine_(std::move(engine)), config_(std::move(config)),
-      onVerdict_(std::move(on_verdict)), scaler_(std::move(scaler)),
-      injector_(config_.injector ? config_.injector
-                                 : &faults::FaultInjector::global()),
-      metrics_(config_.metrics
-                   ? config_.metrics
-                   : std::make_shared<telemetry::MetricRegistry>()),
-      queue_(makeQueueConfig()), startedAt_(Clock::now())
+    : Server(singleModelRegistry(std::move(engine), std::move(scaler)),
+             singleModelRoute(), std::move(config), std::move(on_verdict))
 {
-    nextId_.store(config_.ticketBase != 0 ? config_.ticketBase : 1);
-    inputDim_ = engine_->plan().inputDim();
-    if (scaler_ && !scaler_->fitted())
-        throw std::runtime_error("Server: scaler is not fitted");
-    if (scaler_ && scaler_->means().size() != inputDim_)
-        throw std::runtime_error("Server: scaler width does not match "
-                                 "the model");
-    bindInstruments();
-    batcher_ = std::thread([this] { serveLoop(); });
 }
 
 Server::Server(std::shared_ptr<ModelRegistry> registry, RouteConfig route,
                ServerConfig config, VerdictFn on_verdict,
                RouteTraceFn on_trace)
-    : registry_(std::move(registry)), config_(std::move(config)),
-      onVerdict_(std::move(on_verdict)), onTrace_(std::move(on_trace)),
+    : config_(std::move(config)), onVerdict_(std::move(on_verdict)),
+      onTrace_(std::move(on_trace)),
       injector_(config_.injector ? config_.injector
                                  : &faults::FaultInjector::global()),
       metrics_(config_.metrics
                    ? config_.metrics
                    : std::make_shared<telemetry::MetricRegistry>()),
+      router_(std::move(registry), std::move(route), metrics_.get()),
       queue_(makeQueueConfig()), startedAt_(Clock::now())
 {
-    // The Router constructor validates the spec (models loaded, shared
-    // input width, rule labels in range) before any thread starts. It
-    // shares this server's registry so one snapshot covers all layers.
     nextId_.store(config_.ticketBase != 0 ? config_.ticketBase : 1);
-    router_.emplace(registry_, std::move(route), metrics_.get());
-    inputDim_ = router_->inputDim();
     bindInstruments();
     batcher_ = std::thread([this] { serveLoop(); });
 }
@@ -245,16 +241,10 @@ Server::~Server()
 SubmitResult
 Server::submit(std::vector<double> features, std::size_t lane)
 {
-    if (features.size() != inputDim_)
+    if (features.size() != router_.inputDim())
         throw std::runtime_error(common::format(
             "Server: row has %zu features, model expects %zu",
-            features.size(), inputDim_));
-    if (scaler_) {
-        const std::vector<double> &means = scaler_->means();
-        const std::vector<double> &stds = scaler_->stddevs();
-        for (std::size_t c = 0; c < features.size(); ++c)
-            features[c] = (features[c] - means[c]) / stds[c];
-    }
+            features.size(), router_.inputDim()));
     Request request;
     std::uint64_t id = nextId_.fetch_add(1);
     request.id = id;
@@ -269,11 +259,11 @@ Server::submit(std::vector<double> features, std::size_t lane)
 SubmitResult
 Server::submitPacket(const net::RawPacket &packet, std::size_t lane)
 {
-    if (inputDim_ != net::kNumTcFeatures)
+    if (router_.inputDim() != net::kNumTcFeatures)
         throw std::runtime_error(common::format(
             "Server: model expects %zu features but the packet "
             "extractor emits %zu",
-            inputDim_, net::kNumTcFeatures));
+            router_.inputDim(), net::kNumTcFeatures));
     return submit(extractor_.extract(packet), lane);
 }
 
@@ -311,7 +301,7 @@ void
 Server::servedSliceStats(const RequestBatch &batch, std::size_t begin,
                          std::size_t end, Clock::time_point finished,
                          double batch_us,
-                         const std::vector<RouteStepStats> *steps,
+                         const std::vector<RouteStepStats> &steps,
                          const RouteBatchOutcome &outcome)
 {
     LaneInstruments &lane = laneIns_[batch.lane];
@@ -329,13 +319,11 @@ Server::servedSliceStats(const RequestBatch &batch, std::size_t begin,
         ins_.requestLatencyUs->observe(wait_us);
         lane.requestLatencyUs->observe(wait_us);
     }
-    if (steps) {
-        for (const RouteStepStats &step : *steps) {
-            ModelInstruments &model = modelIns_[step.model];
-            model.steps->add();
-            model.rows->add(step.rows);
-            model.stepLatencyUs->observe(step.engineUs);
-        }
+    for (const RouteStepStats &step : steps) {
+        ModelInstruments &model = modelIns_[step.model];
+        model.steps->add();
+        model.rows->add(step.rows);
+        model.stepLatencyUs->observe(step.engineUs);
     }
 }
 
@@ -348,8 +336,7 @@ Server::recordSpans(const RequestBatch &batch, std::size_t begin,
     telemetry::TraceSink *sink = config_.trace;
     if (sink == nullptr)
         return;
-    const std::vector<std::string> *names =
-        router_ ? &router_->models() : nullptr;
+    const std::vector<std::string> &names = router_.models();
     for (std::size_t r = begin; r < end; ++r) {
         const Request &request = batch.requests[r];
         telemetry::RequestSpan span;
@@ -363,15 +350,15 @@ Server::recordSpans(const RequestBatch &batch, std::size_t begin,
         span.latencyUs = std::chrono::duration<double, std::micro>(
                              finished - request.enqueuedAt)
                              .count();
-        if (traces != nullptr && names != nullptr) {
+        if (traces != nullptr) {
             // Hops are slice-relative; resolve each hop's model name
             // back to the id interned at construction.
             const RouteTrace &trace = (*traces)[r - begin];
             for (const RouteHop &hop : trace.hops) {
                 if (span.hopCount >= telemetry::kSpanMaxHops)
                     break;
-                for (std::size_t m = 0; m < names->size(); ++m) {
-                    if ((*names)[m] == hop.model) {
+                for (std::size_t m = 0; m < names.size(); ++m) {
+                    if (names[m] == hop.model) {
                         span.hops[span.hopCount++] = spanModelIds_[m];
                         break;
                     }
@@ -412,12 +399,11 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
         return;
     std::vector<Request> &requests = batch.requests;
     const std::size_t rows = end - begin;
-    const std::size_t dim = inputDim_;
+    const std::size_t dim = router_.inputDim();
     RouteBatchOutcome outcome;
-    // Routed hop traces are collected for the user's trace callback
-    // and/or the span sink (spans record the hop ids per request).
-    const bool collect_traces =
-        router_ && (onTrace_ || config_.trace != nullptr);
+    // Hop traces are collected for the user's trace callback and/or
+    // the span sink (spans record the hop ids per request).
+    const bool collect_traces = onTrace_ || config_.trace != nullptr;
 
     auto started = Clock::now();
     try {
@@ -434,29 +420,15 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
                 if (!std::isfinite(requests[r].features[c]))
                     throw std::runtime_error(
                         "serve: non-finite feature in admitted row");
-        if (router_) {
-            // Pin the active epoch of every routed model *once*: the
-            // whole slice — every chained hop included — executes
-            // against this snapshot, so a concurrent swap() only moves
-            // the next batch (a bisect-retried half re-pins, like any
-            // new batch).
-            Router::Snapshot snapshot = router_->snapshot();
-            outcome = router_->runBatch(
-                snapshot, batch.lane, requests.data() + begin, rows,
-                buffers.labels,
-                collect_traces ? &buffers.traces : nullptr,
-                buffers.steps, buffers.scratch, injector_);
-        } else {
-            buffers.features.resizeRows(rows);
-            for (std::size_t r = 0; r < rows; ++r) {
-                double *row = buffers.features.rowPtr(r);
-                for (std::size_t c = 0; c < dim; ++c)
-                    row[c] = requests[begin + r].features[c];
-            }
-            injector_->maybe(faults::kSiteEngineRun);
-            buffers.labels.resize(rows);
-            engine_->run(buffers.features, buffers.labels.data());
-        }
+        // Pin the active epoch of every routed model *once*: the
+        // whole slice — every chained hop included — executes against
+        // this snapshot, so a concurrent swap() only moves the next
+        // batch (a bisect-retried half re-pins, like any new batch).
+        Router::Snapshot snapshot = router_.snapshot();
+        outcome = router_.runBatch(
+            snapshot, batch.lane, requests.data() + begin, rows,
+            buffers.labels, collect_traces ? &buffers.traces : nullptr,
+            buffers.steps, buffers.scratch, injector_);
     } catch (const std::exception &e) {
         if (rows > 1 && depth < config_.retryDepth) {
             // Bisect-retry: split the slice and run the halves
@@ -476,8 +448,8 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
         std::chrono::duration<double, std::micro>(finished - started)
             .count();
 
-    servedSliceStats(batch, begin, end, finished, batch_us,
-                     router_ ? &buffers.steps : nullptr, outcome);
+    servedSliceStats(batch, begin, end, finished, batch_us, buffers.steps,
+                     outcome);
     recordSpans(batch, begin, end, finished, depth,
                 telemetry::SpanOutcome::kServed,
                 collect_traces ? &buffers.traces : nullptr);
@@ -509,17 +481,10 @@ Server::runSlice(RequestBatch &batch, std::size_t begin,
 void
 Server::serveLoop()
 {
-    // One buffer set sized for the largest lane's batch; deadline
-    // flushes release continuously varying batch sizes, and resizeRows
-    // keeps the capacity, so the hot loop never reallocates after the
-    // first full batch. (The routed path keeps its own equivalent
-    // buffers in the router Scratch.)
-    std::size_t max_batch = 1;
-    for (std::size_t lane = 0; lane < queue_.lanes(); ++lane)
-        max_batch = std::max(max_batch, queue_.policy(lane).maxBatch);
+    // One buffer set for the whole run: the router's Scratch and the
+    // label/trace vectors keep their capacity across batches, so the
+    // hot loop stops allocating once the largest batch has been seen.
     ServeBuffers buffers;
-    buffers.features = math::Matrix(max_batch, inputDim_);
-    buffers.labels.reserve(max_batch);
 
     // The supervisor: every popped batch executes inside runSlice's
     // try/catch, so nothing a batch does — engine throw, router throw,
@@ -541,15 +506,14 @@ Server::stop()
 
     // Materialize the public view from one registry snapshot — the
     // batcher has joined, so the snapshot is the run's final word.
-    ServerStats stats = statsFromSnapshot(
-        metrics_->snapshot(), queue_.lanes(),
-        router_ ? router_->models() : std::vector<std::string>{});
+    ServerStats stats = statsFromSnapshot(metrics_->snapshot(),
+                                          queue_.lanes(), router_.models());
     stats.wallSeconds =
         std::chrono::duration<double>(Clock::now() - startedAt_).count();
     for (std::size_t m = 0; m < stats.models.size(); ++m) {
         ModelStats &out = stats.models[m];
-        out.activeVersion = registry_->activeVersion(out.name);
-        out.breakerState = breakerStateName(router_->breaker(m).state);
+        out.activeVersion = registry()->activeVersion(out.name);
+        out.breakerState = breakerStateName(router_.breaker(m).state);
     }
     finalStats_ = stats;
     stopped_ = true;

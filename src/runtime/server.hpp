@@ -10,18 +10,23 @@
  * dedicated batcher thread drains a multi-lane RequestQueue (per-lane
  * size-or-deadline flush, strict priority among ready lanes, shed /
  * block-with-timeout / early-drop backpressure — see
- * request_queue.hpp), runs each released batch through the
- * InferenceEngine (which shards it on the shared persistent
- * runtime::Executor), and delivers verdicts through a callback. So the
- * full pipeline is: per-lane admission -> per-lane batching policy ->
- * one long-lived worker pool — no thread is created per request, per
- * batch, or per dispatch after warm-up.
+ * request_queue.hpp), runs each released batch through a Router over a
+ * ModelRegistry (each model hop an InferenceEngine batch, sharded on
+ * the shared persistent runtime::Executor), and delivers verdicts
+ * through a callback. So the full pipeline is: per-lane admission ->
+ * per-lane batching policy -> one long-lived worker pool — no thread
+ * is created per request, per batch, or per dispatch after warm-up.
  *
- * Producer-side work stays on the producer: submitFrame() parses,
- * extracts, and standardizes on the calling thread (the same split
- * StreamHarness uses), so the batcher thread spends its time in the
- * engine. Verdicts are bit-identical to running the same rows through
- * ExecutablePlan in one call — batching never changes labels. (In
+ * There is one execution path: the engine constructor serves a
+ * one-model registry (kSingleModelName, every lane bound to it), so a
+ * single-model server reports its ModelStats slice, server.model.* /
+ * router.* instruments and span hops like any routed server.
+ *
+ * submitFrame() parses and extracts on the calling thread (the same
+ * split StreamHarness uses); the router's per-hop gather scales each
+ * raw row with that hop's epoch scaler. Verdicts are bit-identical to
+ * running the same scaled rows through ExecutablePlan in one call —
+ * batching never changes labels. (In
  * kEarlyDrop mode an admitted row can still be dropped at flush time
  * if it aged past its lane's budget; dropped rows get no verdict and
  * are counted per lane.)
@@ -105,8 +110,9 @@ struct ServerConfig
      * shard-recoverable — after stats merge.
      */
     std::uint64_t ticketBase = 1;
-    /** Fault injector consulted at the serving sites ("engine.run",
-     *  "queue.flush", "router.hop", "callback.dispatch"). nullptr uses
+    /** Fault injector consulted at the serving sites ("queue.flush",
+     *  once per popped batch; "router.hop" and "engine.run", once per
+     *  model execution; "callback.dispatch"). nullptr uses
      *  the process-global injector (HOMUNCULUS_FAULTS) — which is
      *  disarmed, and free, unless the operator armed it. */
     faults::FaultInjector *injector = nullptr;
@@ -166,8 +172,8 @@ struct LaneStats
     double p99RequestLatencyUs = 0.0;
 };
 
-/** Per-model slice of a routed serving run (valid after stop();
- *  empty for single-model servers). */
+/** Per-model slice of a serving run (valid after stop(); one entry
+ *  per routed model — exactly one for a single-model server). */
 struct ModelStats
 {
     std::string name;
@@ -214,10 +220,10 @@ struct ServerStats
     std::size_t failedRows = 0;      ///< requests failed (not served).
     std::size_t retriedBatches = 0;  ///< bisect splits performed.
     std::size_t callbackErrors = 0;  ///< throwing user callbacks caught.
-    std::size_t deadlineTruncated = 0;  ///< chain hops skipped (routed).
-    std::size_t fallbackRows = 0;    ///< breaker-fallback rows (routed).
+    std::size_t deadlineTruncated = 0;  ///< chain hops skipped.
+    std::size_t fallbackRows = 0;    ///< breaker-fallback rows.
     std::vector<LaneStats> lanes;      ///< one entry per lane.
-    std::vector<ModelStats> models;    ///< routed servers only.
+    std::vector<ModelStats> models;    ///< one entry per routed model.
 };
 
 /**
@@ -234,30 +240,44 @@ ServerStats statsFromSnapshot(const telemetry::MetricsSnapshot &snapshot,
                               std::size_t lanes,
                               const std::vector<std::string> &models);
 
+/** The name the engine constructors of Server and ShardedServer load
+ *  their one model under: its ModelStats slice, label and span hop. */
+constexpr const char *kSingleModelName = "model";
+
+/** What the engine constructors serve: @p engine and @p scaler loaded
+ *  as kSingleModelName v1 (ModelRegistry::load's scaler checks apply),
+ *  and a route binding every lane to it. */
+std::shared_ptr<ModelRegistry>
+singleModelRegistry(InferenceEngine engine,
+                    std::optional<ml::StandardScaler> scaler);
+RouteConfig singleModelRoute();
+
 class Server
 {
   public:
     /** Verdict delivery, invoked on the batcher thread once per request
-     *  after its batch completes (request.lane identifies the lane).
-     *  Must be fast and thread-safe. */
+     *  after its batch completes. request.features is the raw row as
+     *  submitted (hops scale their own copy). Must be fast and
+     *  thread-safe. */
     using VerdictFn =
         std::function<void(const Request &request, int verdict)>;
 
-    /** Routed servers only: the full hop-by-hop execution record of a
-     *  request (which models, which pinned versions, which labels),
-     *  delivered with the verdict on the batcher thread. */
+    /** The full hop-by-hop execution record of a request (which
+     *  models, which pinned versions, which labels), delivered with the
+     *  verdict on the batcher thread. */
     using RouteTraceFn =
         std::function<void(const Request &request,
                            const RouteTrace &trace)>;
 
     /**
-     * Starts the batcher thread.
+     * Single-model server: the routed form over singleModelRegistry().
      * @param engine compiled model + execution policy (jobs, pool)
      * @param config lane policies + backpressure mode
      * @param on_verdict optional verdict sink
-     * @param scaler optional fitted feature scaler applied to every
-     *        submitted row (the training-time one; see ModelIr scaler
-     *        provenance); nullopt serves raw features
+     * @param scaler optional fitted feature scaler, as wide as the
+     *        model, applied to every row before the engine (the
+     *        training-time one; see ModelIr scaler provenance); nullopt
+     *        serves raw features
      */
     explicit Server(InferenceEngine engine, ServerConfig config = {},
                     VerdictFn on_verdict = {},
@@ -265,17 +285,14 @@ class Server
                         std::nullopt);
 
     /**
-     * Routed (multi-model) server: the batcher thread executes the
-     * router's schedule-DAG per batch — lane bindings pick the entry
-     * model, chain rules move rows between models — against epochs
-     * pinned from @p registry once per batch, so a concurrent
-     * registry.swap() never mixes plan versions inside a batch.
-     *
-     * Submission differences from the single-model form: submit()
-     * stores *raw* features (each hop standardizes with its own
-     * epoch's artifact scaler inside the router — one shared producer
-     * side scaler can't serve models with different training moments),
-     * and every routed model must consume one shared input width.
+     * Routed server, and the one execution path: the batcher thread
+     * executes the router's schedule-DAG per batch — lane bindings
+     * pick the entry model, chain rules move rows between models —
+     * against epochs pinned from @p registry once per batch, so a
+     * concurrent registry.swap() never mixes plan versions inside a
+     * batch. Each hop standardizes with its own epoch's scaler, and
+     * every routed model must consume one shared input width.
+     * Starts the batcher thread.
      */
     Server(std::shared_ptr<ModelRegistry> registry, RouteConfig route,
            ServerConfig config = {}, VerdictFn on_verdict = {},
@@ -287,8 +304,8 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Admit one feature row (extractor-domain values; the scaler, when
-     * bound, is applied here on the calling thread) into @p lane.
+     * Admit one raw feature row (extractor-domain values; each model
+     * hop applies its own scaler on the batcher thread) into @p lane.
      * Throws std::out_of_range for an unknown lane and
      * std::runtime_error for a row of the wrong width.
      */
@@ -297,7 +314,7 @@ class Server
 
     /** Parse a wire frame and admit it. A malformed frame is counted,
      *  assigned a ticket, reported through onFailure under that
-     *  ticket, and returned as kMalformed. The engine's model must
+     *  ticket, and returned as kMalformed. The routed models must
      *  consume the packet extractor's schema. */
     SubmitResult submitFrame(const std::vector<std::uint8_t> &frame,
                              std::size_t lane = 0);
@@ -319,17 +336,13 @@ class Server
     }
     std::size_t lanes() const { return queue_.lanes(); }
 
-    /** Single-model servers only (routed servers have no single
-     *  engine — ask the registry). */
-    const InferenceEngine &engine() const { return *engine_; }
-    /** Routed servers only; nullptr for the single-model form. */
-    const Router *router() const
-    {
-        return router_ ? &*router_ : nullptr;
-    }
+    /** The router every batch runs through (a single-model server's
+     *  routes every lane to kSingleModelName). */
+    const Router &router() const { return router_; }
+    /** The registry the router pins its epochs from. */
     const std::shared_ptr<ModelRegistry> &registry() const
     {
-        return registry_;
+        return router_.registry();
     }
     const ServerConfig &config() const { return config_; }
 
@@ -349,7 +362,6 @@ class Server
      *  recursion so a bisect-retry allocates nothing new. */
     struct ServeBuffers
     {
-        math::Matrix features;
         std::vector<int> labels;
         Router::Scratch scratch;
         std::vector<RouteTrace> traces;
@@ -358,7 +370,7 @@ class Server
 
     void serveLoop();
     /**
-     * Execute requests [begin, end) of @p batch as one engine batch,
+     * Execute requests [begin, end) of @p batch through the router,
      * supervised: a throw bisects (while depth < retryDepth and the
      * slice splits) or fails the slice. Success records stats and
      * delivers guarded callbacks.
@@ -371,17 +383,17 @@ class Server
     void failSlice(const RequestBatch &batch, std::size_t begin,
                    std::size_t end, std::size_t depth,
                    const std::string &error);
-    /** Record one served slice into the registry instruments (lane +
-     *  aggregate; @p steps adds per-model instruments when routed). */
+    /** Record one served slice into the registry instruments (lane,
+     *  aggregate, and one per-model update per entry of @p steps). */
     void servedSliceStats(const RequestBatch &batch, std::size_t begin,
                           std::size_t end,
                           std::chrono::steady_clock::time_point finished,
                           double batch_us,
-                          const std::vector<RouteStepStats> *steps,
+                          const std::vector<RouteStepStats> &steps,
                           const RouteBatchOutcome &outcome);
     /** Record one span per request of [begin, end) into the trace
-     *  sink (no-op when no sink is bound). @p traces supplies routed
-     *  hop records, index-aligned with the slice rows. */
+     *  sink (no-op when no sink is bound). @p traces supplies the hop
+     *  records, index-aligned with the slice rows. */
     void recordSpans(const RequestBatch &batch, std::size_t begin,
                      std::size_t end,
                      std::chrono::steady_clock::time_point finished,
@@ -394,16 +406,9 @@ class Server
      *  callback guard (and span recording when a sink is bound). */
     QueueConfig makeQueueConfig();
 
-    /** The one model (single-model form) or nothing (routed form —
-     *  plans live in registry_ and are pinned per batch). */
-    std::optional<InferenceEngine> engine_;
-    std::shared_ptr<ModelRegistry> registry_;  ///< routed form only.
-    std::optional<Router> router_;             ///< routed form only.
-    std::size_t inputDim_ = 0;  ///< submit-side width check.
     ServerConfig config_;
     VerdictFn onVerdict_;
     RouteTraceFn onTrace_;
-    std::optional<ml::StandardScaler> scaler_;
     net::FeatureExtractor extractor_;
     /** Fault-injection hook point (never null after construction). */
     faults::FaultInjector *injector_ = nullptr;
@@ -411,6 +416,9 @@ class Server
      *  a private one). Declared before queue_ so makeQueueConfig() can
      *  hand it to the queue's lane counters. */
     std::shared_ptr<telemetry::MetricRegistry> metrics_;
+    /** Resolves its instruments in metrics_, so one snapshot covers
+     *  every layer; plans are pinned from its registry per batch. */
+    Router router_;
     RequestQueue queue_;
     std::thread batcher_;
     std::atomic<std::uint64_t> nextId_{1};
@@ -448,8 +456,8 @@ class Server
         telemetry::Histogram *requestLatencyUs = nullptr;
     };
 
-    /** Per-model instruments of a routed run ("server.model.*"
-     *  {model=name}), index-aligned with router_->models(). */
+    /** Per-model instruments ("server.model.*" {model=name}),
+     *  index-aligned with router_.models(). */
     struct ModelInstruments
     {
         telemetry::Counter *rows = nullptr;
@@ -460,7 +468,7 @@ class Server
     Instruments ins_;
     std::vector<LaneInstruments> laneIns_;
     std::vector<ModelInstruments> modelIns_;
-    /** Span ids of router_->models(), interned into config_.trace at
+    /** Span ids of router_.models(), interned into config_.trace at
      *  construction so hop recording is an array write. */
     std::vector<std::uint16_t> spanModelIds_;
 

@@ -61,14 +61,10 @@ ShardedServer::ShardedServer(const InferenceEngine &engine,
                              ShardedServerConfig config,
                              Server::VerdictFn on_verdict,
                              std::optional<ml::StandardScaler> scaler)
+    : ShardedServer(singleModelRegistry(engine, std::move(scaler)),
+                    singleModelRoute(), std::move(config),
+                    std::move(on_verdict))
 {
-    std::size_t shard_count = std::max<std::size_t>(config.shards, 1);
-    servers_.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s)
-        servers_.push_back(std::make_unique<Server>(
-            engine, shardConfig(config.server, s), on_verdict, scaler));
-    buildRing(shard_count, config.virtualNodes);
-    initFrontDoor(config.server);
 }
 
 ShardedServer::ShardedServer(std::shared_ptr<ModelRegistry> registry,
@@ -84,12 +80,7 @@ ShardedServer::ShardedServer(std::shared_ptr<ModelRegistry> registry,
             registry, route, shardConfig(config.server, s), on_verdict,
             on_trace));
     buildRing(shard_count, config.virtualNodes);
-    initFrontDoor(config.server);
-}
-
-void
-ShardedServer::initFrontDoor(const ServerConfig &base)
-{
+    const ServerConfig &base = config.server;
     frontMalformed_ = &frontMetrics_.counter("server.malformed_frames");
     frontCallbackErrors_ =
         &frontMetrics_.counter("server.callback_errors");
@@ -224,10 +215,9 @@ ShardedServer::stop()
     telemetry::MetricsSnapshot pooled = frontMetrics_.snapshot();
     for (const auto &server : servers_)
         pooled.merge(server->metrics().snapshot());
-    const Router *router = servers_.front()->router();
-    ServerStats merged = statsFromSnapshot(
-        pooled, servers_.front()->lanes(),
-        router != nullptr ? router->models() : std::vector<std::string>{});
+    ServerStats merged =
+        statsFromSnapshot(pooled, servers_.front()->lanes(),
+                          servers_.front()->router().models());
     // Shards ran concurrently; the run's wall time is the longest
     // shard's, not the sum.
     for (const ServerStats &s : shardStats_)

@@ -8,9 +8,9 @@
  * north-star (millions of flows on >16-core boxes) wants the data
  * plane to scale *out*, not just contend less. The scale-out unit here
  * is the whole serving pipeline: each shard owns a private
- * RequestQueue, batcher thread, and engine, so shards share nothing on
- * the hot path (the well-known shared-nothing receive-side-scaling
- * shape: RSS hashes flows to rings, we hash flows to shards).
+ * RequestQueue, batcher thread, and Router, so shards share nothing on
+ * the hot path but a per-batch registry pin (the well-known
+ * shared-nothing RSS shape: RSS hashes flows to rings, we to shards).
  *
  * Flow affinity: submissions carry a 64-bit flow key (for packets, the
  * 5-tuple via flowKey()). A consistent-hash ring — virtualNodes points
@@ -65,7 +65,7 @@ std::uint64_t flowKey(const net::RawPacket &packet);
 /** Scale-out knobs. */
 struct ShardedServerConfig
 {
-    /** Independent Server instances (queue + batcher + engine each).
+    /** Independent Server instances (queue + batcher + router each).
      *  Clamped to at least 1. */
     std::size_t shards = 2;
     /** Consistent-hash ring points per shard. More points smooth the
@@ -80,11 +80,9 @@ struct ShardedServerConfig
 class ShardedServer
 {
   public:
-    /**
-     * Single-model sharded server: every shard gets a copy of
-     * @p engine (same plan, same execution policy — verdicts are
-     * bit-identical across shards by the engine's own contract).
-     */
+    /** Single-model sharded server: the routed form over one
+     *  singleModelRegistry() all shards share — every batcher runs the
+     *  same immutable engine, so verdicts match across shards. */
     ShardedServer(const InferenceEngine &engine,
                   ShardedServerConfig config,
                   Server::VerdictFn on_verdict = {},
@@ -171,9 +169,6 @@ class ShardedServer
     };
 
     void buildRing(std::size_t shard_count, std::size_t virtual_nodes);
-    /** Bind the front door's instruments + ticket namespace (both
-     *  constructors, after servers_ is sized). */
-    void initFrontDoor(const ServerConfig &base);
 
     std::vector<std::unique_ptr<Server>> servers_;
     std::vector<RingPoint> ring_;  ///< sorted; immutable after ctor.

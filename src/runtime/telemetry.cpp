@@ -422,6 +422,12 @@ writeServeStatsJson(std::ostream &out, const MetricsSnapshot &snapshot,
         out << "}" << (i + 1 < snapshot.entries.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
+    const bool resolved = snapshot.sumCounters("server.rows_served") +
+                              snapshot.sumCounters("server.failed_rows") +
+                              snapshot.sumCounters("queue.early_dropped") ==
+                          snapshot.sumCounters("queue.accepted");
+    out << "  \"resolved_equals_accepted\": " << (resolved ? 1 : 0)
+        << ",\n";
     std::vector<RequestSpan> retained;
     std::uint64_t recorded = 0;
     if (spans != nullptr) {

@@ -330,9 +330,11 @@ constexpr const char *kServeStatsSchema = "homunculus.serve-stats.v1";
 /**
  * Write the machine-readable end-of-run stats dump: the schema id, one
  * record per instrument (counters/gauges carry "value", histograms
- * carry "count"/"p50"/"p99"), and — when `spans` is non-null — the
- * retained request spans with hop ids resolved back to model names.
- * Same key style as the BENCH_*.json records.
+ * carry "count"/"p50"/"p99"), "resolved_equals_accepted" (1 when the
+ * served + failed + early-dropped rows, summed over all labels, equal
+ * the accepted ones), and — when `spans` is non-null — the retained
+ * request spans with hop ids resolved back to model names. Same key
+ * style as the BENCH_*.json records.
  */
 void writeServeStatsJson(std::ostream &out, const MetricsSnapshot &snapshot,
                          const TraceSink *spans);

@@ -256,6 +256,57 @@ TEST(ServerFault, InjectedEngineFaultsFailBatchesNotTheServer)
             EXPECT_EQ(it->second, expected[r]);
 }
 
+TEST(ServerFault, EngineRunFiresOnEveryRoutedHop)
+{
+    auto registry = std::make_shared<hr::ModelRegistry>();
+    registry->load("front", mlpModel(71, 4, 3));
+    registry->load("deep", mlpModel(72, 4, 3));
+    hr::RouteConfig route;
+    route.defaultModel = "front";
+    route.chain = {{"front", 1, "deep"}};
+    route.breakerThreshold = 1'000'000;  // count failures, never open.
+
+    hf::FaultInjector injector;
+    injector.arm(hf::kSiteEngineRun, 1.0, 5);
+    hr::ServerConfig config;
+    config.queue.maxBatch = 16;
+    config.queue.maxDelayUs = 1'000'000;  // size-only flushes.
+    config.retryDepth = 0;
+    config.injector = &injector;
+    Outcomes outcomes;
+    config.onFailure = outcomes.failureSink();
+    hr::Server server(registry, route, config, outcomes.verdictSink());
+
+    hm::Matrix x = featureRows(73, 160, 4);
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        ASSERT_TRUE(server.submit(x.row(r)).admitted());
+    hr::ServerStats stats = server.stop();
+
+    // Every admitted row fails: its entry hop is a model execution,
+    // and engine.run fires on each one.
+    EXPECT_EQ(stats.rowsServed, 0u);
+    EXPECT_EQ(stats.failedRows, x.rows());
+    EXPECT_EQ(outcomes.failed.size(), x.rows());
+    EXPECT_TRUE(outcomes.verdicts.empty());
+
+    // Without retries each failed slice attempted exactly one hop (the
+    // entry model's) before it threw, so the site was checked once per
+    // attempted hop and fired on every check.
+    const std::uint64_t hops_attempted = stats.failedBatches;
+    EXPECT_EQ(hops_attempted, x.rows() / 16);
+    EXPECT_EQ(injector.checked(hf::kSiteEngineRun), hops_attempted);
+    EXPECT_EQ(injector.fired(hf::kSiteEngineRun),
+              injector.checked(hf::kSiteEngineRun));
+    const homunculus::runtime::telemetry::MetricsSnapshot snap =
+        server.metrics().snapshot();
+    EXPECT_EQ(snap.counterValue("router.breaker.failures",
+                                {{"model", "front"}}),
+              hops_attempted);
+    EXPECT_EQ(snap.counterValue("router.breaker.failures",
+                                {{"model", "deep"}}),
+              0u);
+}
+
 TEST(ServerFault, SameSeedFailsTheSameRequests)
 {
     hi::ModelIr ir = mlpModel(7, 4, 3);

@@ -355,6 +355,13 @@ TEST(Server, RejectsUnfittedOrMismatchedScalerAndBadRowWidth)
     EXPECT_THROW(hr::Server(hr::InferenceEngine::fromModel(model, {}),
                             {}, {}, ml::StandardScaler()),
                  std::runtime_error);
+    // Fitted, but one column short of the model's input.
+    ml::StandardScaler narrow = ml::StandardScaler::fromMoments(
+        std::vector<double>(model.inputDim - 1, 0.0),
+        std::vector<double>(model.inputDim - 1, 1.0));
+    EXPECT_THROW(hr::Server(hr::InferenceEngine::fromModel(model, {}),
+                            {}, {}, narrow),
+                 std::runtime_error);
 
     hr::Server server(hr::InferenceEngine::fromModel(model, {}), {});
     EXPECT_THROW(server.submit(std::vector<double>(3, 0.0)),

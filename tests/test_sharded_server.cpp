@@ -227,6 +227,20 @@ TEST(ShardedServer, VerdictsBitIdenticalToOnePlanRun)
     EXPECT_EQ(stats.rowsServed, kRows);
 }
 
+TEST(ShardedServer, EngineConstructorRejectsUnfittedOrMismatchedScaler)
+{
+    auto model = mlpModel(12, 4, 3);
+    hr::InferenceEngine engine = hr::InferenceEngine::fromModel(model, {});
+    EXPECT_THROW(hr::ShardedServer(engine, shardedConfig(2), {},
+                                   homunculus::ml::StandardScaler()),
+                 std::runtime_error);
+    EXPECT_THROW(hr::ShardedServer(
+                     engine, shardedConfig(2), {},
+                     homunculus::ml::StandardScaler::fromMoments(
+                         {0.0, 0.0, 0.0}, {1.0, 1.0, 1.0})),
+                 std::runtime_error);
+}
+
 TEST(ShardedServer, StopMergesShardStatsAndKeepsPerShardSlices)
 {
     auto model = mlpModel(17, 4, 3);

@@ -286,7 +286,9 @@ TEST(TraceSink, ServerRecordsOneSpanPerServedRequest)
         EXPECT_EQ(span.lane, 0u);
         EXPECT_GE(span.flushedAtUs, span.enqueuedAtUs);
         EXPECT_GE(span.latencyUs, 0.0);
-        EXPECT_EQ(span.hopCount, 0u);  // single-model: no routed hops.
+        // single-model: one routed hop, through the one model.
+        ASSERT_EQ(span.hopCount, 1u);
+        EXPECT_EQ(sink.modelName(span.hops[0]), hr::kSingleModelName);
     }
     // Every admitted ticket shows up in exactly one span.
     std::vector<std::uint64_t> span_tickets;
@@ -376,5 +378,28 @@ TEST(Telemetry, ServeStatsJsonCarriesSchemaMetricsAndSpans)
     ht::writeServeStatsJson(bare, registry.snapshot(), nullptr);
     EXPECT_NE(bare.str().find(ht::kServeStatsSchema), std::string::npos);
     EXPECT_NE(bare.str().find("\"spans_recorded\": 0"),
+              std::string::npos);
+}
+
+TEST(Telemetry, ServeStatsJsonReportsTheResolutionInvariant)
+{
+    // served + failed + early-dropped == accepted, each summed over
+    // every label set (lanes, shards): the invariant holds.
+    ht::MetricRegistry registry;
+    registry.counter("queue.accepted", {{"lane", "0"}}).add(10);
+    registry.counter("queue.accepted", {{"lane", "1"}}).add(5);
+    registry.counter("server.rows_served", {{"shard", "0"}}).add(9);
+    registry.counter("server.failed_rows").add(4);
+    registry.counter("queue.early_dropped", {{"lane", "1"}}).add(2);
+    std::ostringstream holds;
+    ht::writeServeStatsJson(holds, registry.snapshot(), nullptr);
+    EXPECT_NE(holds.str().find("\"resolved_equals_accepted\": 1"),
+              std::string::npos);
+
+    // One accepted row never resolved: it does not.
+    registry.counter("queue.accepted", {{"lane", "0"}}).add();
+    std::ostringstream broken;
+    ht::writeServeStatsJson(broken, registry.snapshot(), nullptr);
+    EXPECT_NE(broken.str().find("\"resolved_equals_accepted\": 0"),
               std::string::npos);
 }

@@ -429,20 +429,18 @@ dumpServeStats(const CliOptions &options,
 
 /**
  * The --serve-model side of runServe: load the pre-compiled
- * homunculus-ir artifacts into a ModelRegistry (no compile happens at
+ * homunculus-ir artifacts into @p registry (no compile happens at
  * all) and bind lanes, chain rules and fallbacks into @p route,
  * printing one line per model version, chain rule and fallback.
  */
-std::shared_ptr<runtime::ModelRegistry>
+void
 loadServeRegistry(const CliOptions &options,
-                  const runtime::EngineOptions &engine_options,
+                  runtime::ModelRegistry &registry,
                   runtime::RouteConfig &route)
 {
-    auto registry =
-        std::make_shared<runtime::ModelRegistry>(engine_options);
     for (const auto &[name, path] : options.serveModels) {
-        std::uint64_t version = registry->loadFile(name, path);
-        auto epoch = registry->version(name, version);
+        std::uint64_t version = registry.loadFile(name, path);
+        auto epoch = registry.version(name, version);
         std::cout << common::format(
             "model     : %s v%llu <- %s (%zu features, %d classes, "
             "scaler %s)\n",
@@ -475,7 +473,6 @@ loadServeRegistry(const CliOptions &options,
         std::cout << common::format(" (breaker threshold %zu)\n",
                                     route.breakerThreshold);
     }
-    return registry;
 }
 
 /**
@@ -488,12 +485,12 @@ loadServeRegistry(const CliOptions &options,
  * exercises the per-lane deadline-vs-size batcher and the configured
  * backpressure mode.
  *
- * The two entry points differ only in how the server is built:
- * @p model is the winner just compiled, served with its training-time
- * scaler; null serves the --serve-model artifacts through a
- * ModelRegistry + Router, where the --serve-swap-after hook hot-swaps a
- * model's active plan mid-run (batches in flight finish on the version
- * that admitted them) and per-model stats print after the lane block.
+ * The two entry points differ only in what fills the ModelRegistry:
+ * @p model is the winner just compiled, loaded as one model named after
+ * --app with its serving scaler; null loads the --serve-model
+ * artifacts, where the --serve-swap-after hook hot-swaps a model's
+ * active plan mid-run (batches in flight finish on the version that
+ * admitted them). Per-model stats print after the lane block.
  */
 void
 runServe(const CliOptions &options, const homunculus::ir::ModelIr *model)
@@ -517,20 +514,26 @@ runServe(const CliOptions &options, const homunculus::ir::ModelIr *model)
             lanes[lane].maxDepth);
     printScaleOutLines(options);
 
-    std::optional<ml::StandardScaler> scaler;
-    if (model != nullptr) {
-        std::string scaler_provenance;
-        scaler = resolveServingScaler(options, *model, scaler_provenance);
-        std::cout << "scaler    : " << scaler_provenance << "\n";
-    }
-    printKernelLine(std::cout);
     runtime::EngineOptions engine_options;
     engine_options.jobs = options.inferJobs;
     engine_options.minRowsToShard = 1;
     runtime::RouteConfig route;
-    std::shared_ptr<runtime::ModelRegistry> registry;
+    auto registry =
+        std::make_shared<runtime::ModelRegistry>(engine_options);
+    if (model != nullptr) {
+        std::string scaler_provenance;
+        auto scaler = resolveServingScaler(options, *model, scaler_provenance);
+        std::cout << "scaler    : " << scaler_provenance << "\n";
+        route.defaultModel = options.app.empty() ? runtime::kSingleModelName
+                                                 : options.app;
+        registry->load(route.defaultModel,
+                       runtime::InferenceEngine::fromModel(*model,
+                                                           engine_options),
+                       std::move(scaler));
+    }
+    printKernelLine(std::cout);
     if (model == nullptr)
-        registry = loadServeRegistry(options, engine_options, route);
+        loadServeRegistry(options, *registry, route);
 
     runtime::ServerConfig server_config;
     server_config.queue = lanes.front();
@@ -551,25 +554,15 @@ runServe(const CliOptions &options, const homunculus::ir::ModelIr *model)
     };
     // --serve-shards > 1 swaps the single Server for a ShardedServer
     // front door; frames still enter via submitFrame, which keys each
-    // one by its 5-tuple so a flow sticks to one shard. Registry shards
-    // share the registry (a hot swap hits every shard at its next
-    // batch) but each runs its own Router.
+    // one by its 5-tuple so a flow sticks to one shard. Shards share
+    // the registry (a hot swap hits every shard at its next batch) but
+    // each runs its own Router.
     std::unique_ptr<runtime::Server> server;
     std::unique_ptr<runtime::ShardedServer> sharded;
-    runtime::ShardedServerConfig sharded_config;
-    sharded_config.shards = options.serveShards;
-    sharded_config.server = server_config;
-    if (model != nullptr) {
-        auto engine =
-            runtime::InferenceEngine::fromModel(*model, engine_options);
-        if (options.serveShards > 1)
-            sharded = std::make_unique<runtime::ShardedServer>(
-                engine, sharded_config, on_verdict, std::move(scaler));
-        else
-            server = std::make_unique<runtime::Server>(
-                std::move(engine), server_config, on_verdict,
-                std::move(scaler));
-    } else if (options.serveShards > 1) {
+    if (options.serveShards > 1) {
+        runtime::ShardedServerConfig sharded_config;
+        sharded_config.shards = options.serveShards;
+        sharded_config.server = server_config;
         sharded = std::make_unique<runtime::ShardedServer>(
             registry, route, sharded_config, on_verdict);
     } else {
