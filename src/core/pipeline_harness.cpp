@@ -20,17 +20,16 @@ PipelineHarness::PipelineHarness(ir::ModelIr model,
 }
 
 ReplayStats
-PipelineHarness::classify(const std::vector<std::vector<double>> &features,
-                          std::size_t offered) const
+PipelineHarness::classify(math::Matrix features, std::size_t offered) const
 {
     auto started = std::chrono::steady_clock::now();
     ReplayStats stats;
     stats.packetsOffered = offered;
-    stats.packetsParsed = features.size();
-    if (!features.empty()) {
-        math::Matrix x = math::Matrix::fromRows(features);
-        x = scaler_.fitted() ? scaler_.transform(x) : x;
-        stats.verdicts = platform_->evaluate(model_, x);
+    stats.packetsParsed = features.rows();
+    if (features.rows() > 0) {
+        if (scaler_.fitted())
+            features = scaler_.transform(features);
+        stats.verdicts = platform_->evaluate(model_, features);
         stats.packetsClassified = stats.verdicts.size();
 
         backends::ResourceReport report = platform_->estimate(model_);
@@ -48,24 +47,33 @@ ReplayStats
 PipelineHarness::replayWire(
     const std::vector<std::vector<std::uint8_t>> &frames) const
 {
-    std::vector<std::vector<double>> features;
-    features.reserve(frames.size());
+    // One row per frame, written in place; malformed frames are skipped
+    // and the unused tail trimmed.
+    math::Matrix features(frames.size(), net::kNumTcFeatures);
+    std::size_t parsed = 0;
+    net::PacketHeaders headers;
     for (const auto &frame : frames) {
-        auto row = extractor_.extractFromWire(frame);
-        if (row)
-            features.push_back(std::move(*row));
+        std::optional<std::size_t> offset =
+            net::parseHeaders(frame.data(), frame.size(), headers);
+        if (!offset)
+            continue;
+        extractor_.extractInto(headers, frame.data() + *offset,
+                               frame.size() - *offset,
+                               features.rowPtr(parsed++));
     }
-    return classify(features, frames.size());
+    features.resizeRows(parsed);
+    return classify(std::move(features), frames.size());
 }
 
 ReplayStats
 PipelineHarness::replay(const std::vector<net::RawPacket> &packets) const
 {
-    std::vector<std::vector<double>> features;
-    features.reserve(packets.size());
-    for (const auto &packet : packets)
-        features.push_back(extractor_.extract(packet));
-    return classify(features, packets.size());
+    math::Matrix features(packets.size(), net::kNumTcFeatures);
+    for (std::size_t i = 0; i < packets.size(); ++i)
+        extractor_.extractInto(packets[i], packets[i].payload.data(),
+                               packets[i].payload.size(),
+                               features.rowPtr(i));
+    return classify(std::move(features), packets.size());
 }
 
 }  // namespace homunculus::core

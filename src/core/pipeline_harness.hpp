@@ -68,8 +68,9 @@ class PipelineHarness
     const ir::ModelIr &model() const { return model_; }
 
   private:
-    ReplayStats classify(const std::vector<std::vector<double>> &features,
-                         std::size_t offered) const;
+    /** Scale and evaluate @p features (one extracted row per parsed
+     *  packet). */
+    ReplayStats classify(math::Matrix features, std::size_t offered) const;
 
     ir::ModelIr model_;
     backends::PlatformPtr platform_;

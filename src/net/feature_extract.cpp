@@ -2,15 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/rng.hpp"
-#include "math/stats.hpp"
 
 namespace homunculus::net {
 
 FeatureExtractor::FeatureExtractor(FeatureExtractorConfig config)
     : config_(config)
 {
+    if (config_.portBuckets == 0)
+        throw std::invalid_argument(
+            "FeatureExtractor: portBuckets must be at least 1");
+    const std::size_t sample = config_.entropySampleBytes;
+    entropyTerms_.reserve(sample * (sample + 1) / 2);
+    entropyMax_.assign(sample + 1, 0.0);
+    for (std::size_t n = 1; n <= sample; ++n) {
+        // The same expression math::entropy evaluates per nonzero bin.
+        double total = static_cast<double>(n);
+        for (std::size_t c = 1; c <= n; ++c) {
+            double p = static_cast<double>(c) / total;
+            entropyTerms_.push_back(p * std::log(p));
+        }
+        entropyMax_[n] = std::log(
+            static_cast<double>(std::min<std::size_t>(256, n)));
+    }
 }
 
 std::vector<std::string>
@@ -21,43 +37,64 @@ FeatureExtractor::featureNames()
 }
 
 double
-FeatureExtractor::payloadEntropy(
-    const std::vector<std::uint8_t> &payload) const
+FeatureExtractor::payloadEntropy(const std::uint8_t *payload,
+                                 std::size_t size) const
 {
-    if (payload.empty())
+    const std::size_t sample = std::min(config_.entropySampleBytes, size);
+    if (sample == 0)
         return 0.0;
-    std::size_t sample = std::min(config_.entropySampleBytes,
-                                  payload.size());
-    std::vector<double> counts(256, 0.0);
-    for (std::size_t i = 0; i < sample; ++i)
-        counts[payload[i]] += 1.0;
+    // Count the sampled bytes and mark which values occur.
+    std::uint32_t counts[256] = {};
+    std::uint64_t seen[4] = {};
+    for (std::size_t i = 0; i < sample; ++i) {
+        std::uint8_t byte = payload[i];
+        ++counts[byte];
+        seen[byte >> 6] |= std::uint64_t{1} << (byte & 63);
+    }
+    // Sum the tabulated terms in ascending byte order, as math::entropy
+    // walks its histogram.
+    const double *terms = entropyTerms_.data() + sample * (sample - 1) / 2;
+    double h = 0.0;
+    for (std::size_t word = 0; word < 4; ++word)
+        for (std::uint64_t bits = seen[word]; bits != 0; bits &= bits - 1) {
+            std::size_t byte =
+                word * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+            h -= terms[counts[byte] - 1];
+        }
     // Normalize to [0, 1] against the maximum entropy of the sample.
-    double h = math::entropy(counts);
-    double h_max = std::log(static_cast<double>(std::min<std::size_t>(
-        256, sample)));
+    double h_max = entropyMax_[sample];
     return h_max > 0.0 ? std::clamp(h / h_max, 0.0, 1.0) : 0.0;
+}
+
+void
+FeatureExtractor::extractInto(const PacketHeaders &headers,
+                              const std::uint8_t *payload,
+                              std::size_t payload_size, double *out) const
+{
+    std::uint16_t src_port = 0, dst_port = 0;
+    if (headers.tcp) {
+        src_port = headers.tcp->srcPort;
+        dst_port = headers.tcp->dstPort;
+    } else if (headers.udp) {
+        src_port = headers.udp->srcPort;
+        dst_port = headers.udp->dstPort;
+    }
+
+    out[0] = static_cast<double>(headers.headerSize() + payload_size);
+    out[1] = static_cast<double>(headers.ipv4.ttl);
+    out[2] = static_cast<double>(headers.ipv4.protocol);
+    out[3] = static_cast<double>(src_port % config_.portBuckets);
+    out[4] = static_cast<double>(dst_port % config_.portBuckets);
+    out[5] = static_cast<double>(headers.ipv4.tos) / 255.0;
+    out[6] = payloadEntropy(payload, payload_size);
 }
 
 std::vector<double>
 FeatureExtractor::extract(const RawPacket &packet) const
 {
-    std::uint16_t src_port = 0, dst_port = 0;
-    if (packet.tcp) {
-        src_port = packet.tcp->srcPort;
-        dst_port = packet.tcp->dstPort;
-    } else if (packet.udp) {
-        src_port = packet.udp->srcPort;
-        dst_port = packet.udp->dstPort;
-    }
-
     std::vector<double> features(kNumTcFeatures);
-    features[0] = static_cast<double>(packet.wireSize());
-    features[1] = static_cast<double>(packet.ipv4.ttl);
-    features[2] = static_cast<double>(packet.ipv4.protocol);
-    features[3] = static_cast<double>(src_port % config_.portBuckets);
-    features[4] = static_cast<double>(dst_port % config_.portBuckets);
-    features[5] = static_cast<double>(packet.ipv4.tos) / 255.0;
-    features[6] = payloadEntropy(packet.payload);
+    extractInto(packet, packet.payload.data(), packet.payload.size(),
+                features.data());
     return features;
 }
 
@@ -65,10 +102,15 @@ std::optional<std::vector<double>>
 FeatureExtractor::extractFromWire(
     const std::vector<std::uint8_t> &bytes) const
 {
-    std::optional<RawPacket> packet = parse(bytes);
-    if (!packet)
+    PacketHeaders headers;
+    std::optional<std::size_t> offset =
+        parseHeaders(bytes.data(), bytes.size(), headers);
+    if (!offset)
         return std::nullopt;
-    return extract(*packet);
+    std::vector<double> features(kNumTcFeatures);
+    extractInto(headers, bytes.data() + *offset, bytes.size() - *offset,
+                features.data());
+    return features;
 }
 
 namespace {

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -25,17 +27,43 @@ constexpr std::size_t kNumTcFeatures = 7;
 /** Extraction parameters (port bucketing, entropy sampling). */
 struct FeatureExtractorConfig
 {
-    /** Ports are hashed into this many buckets (switch-friendly). */
+    /** Ports are hashed into this many buckets (switch-friendly).
+     *  Must be at least 1. */
     std::size_t portBuckets = 8;
-    /** Bytes of payload sampled for the entropy proxy. */
+    /** Bytes of payload sampled for the entropy proxy. The extractor
+     *  precomputes S(S+1)/2 + S + 1 doubles for S sampled bytes, so its
+     *  table grows as O(S^2): ~17 KiB at the default 64, ~350 KiB at
+     *  300. */
     std::size_t entropySampleBytes = 64;
 };
 
-/** Stateless per-packet feature extraction. */
+/**
+ * Per-packet feature extraction. Immutable after construction, so one
+ * extractor may serve any number of threads.
+ *
+ * The payload-entropy feature is the normalized Shannon entropy of the
+ * first entropySampleBytes payload bytes, h = -sum (c/n) log(c/n) over
+ * the byte counts c in ascending byte order, divided by
+ * log(min(256, n)). The constructor tabulates every (c/n) log(c/n)
+ * term with the expression math::entropy evaluates, so the per-packet
+ * sum calls no log, allocates nothing, and is bit-identical to
+ * math::entropy over a 256-bin histogram.
+ */
 class FeatureExtractor
 {
   public:
+    /** Throws std::invalid_argument when config.portBuckets is 0. */
     explicit FeatureExtractor(FeatureExtractorConfig config = {});
+
+    /**
+     * Write the kNumTcFeatures features of one packet into @p out from
+     * its header stack and its @p payload_size payload bytes. The one
+     * extraction path: allocation-free, and every other entry point
+     * wraps it.
+     */
+    void extractInto(const PacketHeaders &headers,
+                     const std::uint8_t *payload,
+                     std::size_t payload_size, double *out) const;
 
     /** Feature vector for one parsed packet (length kNumTcFeatures). */
     std::vector<double> extract(const RawPacket &packet) const;
@@ -50,9 +78,16 @@ class FeatureExtractor
     const FeatureExtractorConfig &config() const { return config_; }
 
   private:
-    double payloadEntropy(const std::vector<std::uint8_t> &payload) const;
+    double payloadEntropy(const std::uint8_t *payload,
+                          std::size_t size) const;
 
     FeatureExtractorConfig config_;
+    /** (c/n) log(c/n) for 1 <= c <= n <= entropySampleBytes; the terms
+     *  of sample size n start at n(n-1)/2, indexed by c - 1. */
+    std::vector<double> entropyTerms_;
+    /** log(min(256, n)) for 0 <= n <= entropySampleBytes (index 0
+     *  unused). */
+    std::vector<double> entropyMax_;
 };
 
 /** Knobs for the raw IoT packet generator. */

@@ -40,15 +40,20 @@ get32(const std::uint8_t *p)
 }  // namespace
 
 std::size_t
-RawPacket::wireSize() const
+PacketHeaders::headerSize() const
 {
-    std::size_t size = EthernetHeader::kWireSize + Ipv4Header::kWireSize +
-                       payload.size();
+    std::size_t size = EthernetHeader::kWireSize + Ipv4Header::kWireSize;
     if (tcp)
         size += TcpHeader::kWireSize;
     if (udp)
         size += UdpHeader::kWireSize;
     return size;
+}
+
+std::size_t
+RawPacket::wireSize() const
+{
+    return headerSize() + payload.size();
 }
 
 std::uint16_t
@@ -124,36 +129,35 @@ serialize(const RawPacket &packet)
     return out;
 }
 
-std::optional<RawPacket>
-parse(const std::vector<std::uint8_t> &bytes, double timestamp_sec)
+std::optional<std::size_t>
+parseHeaders(const std::uint8_t *bytes, std::size_t size,
+             PacketHeaders &headers)
 {
-    if (bytes.size() < EthernetHeader::kWireSize + Ipv4Header::kWireSize)
+    if (size < EthernetHeader::kWireSize + Ipv4Header::kWireSize)
         return std::nullopt;
 
-    RawPacket packet;
-    packet.timestampSec = timestamp_sec;
-    const std::uint8_t *p = bytes.data();
+    const std::uint8_t *p = bytes;
 
-    std::memcpy(packet.eth.dst.data(), p, 6);
-    std::memcpy(packet.eth.src.data(), p + 6, 6);
-    packet.eth.etherType = get16(p + 12);
-    if (packet.eth.etherType != kEtherTypeIpv4)
+    std::memcpy(headers.eth.dst.data(), p, 6);
+    std::memcpy(headers.eth.src.data(), p + 6, 6);
+    headers.eth.etherType = get16(p + 12);
+    if (headers.eth.etherType != kEtherTypeIpv4)
         return std::nullopt;
     p += EthernetHeader::kWireSize;
 
-    packet.ipv4.versionIhl = p[0];
-    if ((packet.ipv4.versionIhl >> 4) != 4 ||
-        (packet.ipv4.versionIhl & 0x0F) != 5)
+    Ipv4Header &ipv4 = headers.ipv4;
+    ipv4.versionIhl = p[0];
+    if ((ipv4.versionIhl >> 4) != 4 || (ipv4.versionIhl & 0x0F) != 5)
         return std::nullopt;  // options unsupported by this substrate.
-    packet.ipv4.tos = p[1];
-    packet.ipv4.totalLength = get16(p + 2);
-    packet.ipv4.identification = get16(p + 4);
-    packet.ipv4.flagsFragment = get16(p + 6);
-    packet.ipv4.ttl = p[8];
-    packet.ipv4.protocol = p[9];
-    packet.ipv4.checksum = get16(p + 10);
-    packet.ipv4.srcAddr = get32(p + 12);
-    packet.ipv4.dstAddr = get32(p + 16);
+    ipv4.tos = p[1];
+    ipv4.totalLength = get16(p + 2);
+    ipv4.identification = get16(p + 4);
+    ipv4.flagsFragment = get16(p + 6);
+    ipv4.ttl = p[8];
+    ipv4.protocol = p[9];
+    ipv4.checksum = get16(p + 10);
+    ipv4.srcAddr = get32(p + 12);
+    ipv4.dstAddr = get32(p + 16);
 
     // Verify the checksum: recompute with the field zeroed.
     std::array<std::uint8_t, Ipv4Header::kWireSize> header_copy;
@@ -161,13 +165,15 @@ parse(const std::vector<std::uint8_t> &bytes, double timestamp_sec)
     header_copy[10] = 0;
     header_copy[11] = 0;
     if (ipv4Checksum(header_copy.data(), Ipv4Header::kWireSize) !=
-        packet.ipv4.checksum)
+        ipv4.checksum)
         return std::nullopt;
     p += Ipv4Header::kWireSize;
 
     std::size_t consumed = EthernetHeader::kWireSize + Ipv4Header::kWireSize;
-    if (packet.ipv4.protocol == kProtoTcp) {
-        if (bytes.size() < consumed + TcpHeader::kWireSize)
+    headers.tcp.reset();
+    headers.udp.reset();
+    if (ipv4.protocol == kProtoTcp) {
+        if (size < consumed + TcpHeader::kWireSize)
             return std::nullopt;
         TcpHeader tcp;
         tcp.srcPort = get16(p);
@@ -179,26 +185,35 @@ parse(const std::vector<std::uint8_t> &bytes, double timestamp_sec)
         tcp.window = get16(p + 14);
         tcp.checksum = get16(p + 16);
         tcp.urgentPtr = get16(p + 18);
-        packet.tcp = tcp;
+        headers.tcp = tcp;
         consumed += TcpHeader::kWireSize;
-        p += TcpHeader::kWireSize;
-    } else if (packet.ipv4.protocol == kProtoUdp) {
-        if (bytes.size() < consumed + UdpHeader::kWireSize)
+    } else if (ipv4.protocol == kProtoUdp) {
+        if (size < consumed + UdpHeader::kWireSize)
             return std::nullopt;
         UdpHeader udp;
         udp.srcPort = get16(p);
         udp.dstPort = get16(p + 2);
         udp.length = get16(p + 4);
         udp.checksum = get16(p + 6);
-        packet.udp = udp;
+        headers.udp = udp;
         consumed += UdpHeader::kWireSize;
-        p += UdpHeader::kWireSize;
     } else {
         return std::nullopt;
     }
+    return consumed;
+}
 
+std::optional<RawPacket>
+parse(const std::vector<std::uint8_t> &bytes, double timestamp_sec)
+{
+    RawPacket packet;
+    packet.timestampSec = timestamp_sec;
+    std::optional<std::size_t> offset =
+        parseHeaders(bytes.data(), bytes.size(), packet);
+    if (!offset)
+        return std::nullopt;
     packet.payload.assign(bytes.begin() +
-                              static_cast<std::ptrdiff_t>(consumed),
+                              static_cast<std::ptrdiff_t>(*offset),
                           bytes.end());
     return packet;
 }

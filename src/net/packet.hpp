@@ -82,13 +82,21 @@ struct UdpHeader
     static constexpr std::size_t kWireSize = 8;
 };
 
-/** A full parsed packet: header stack + payload + arrival time. */
-struct RawPacket
+/** A packet's header stack: Ethernet, IPv4 and one transport header. */
+struct PacketHeaders
 {
     EthernetHeader eth;
     Ipv4Header ipv4;
     std::optional<TcpHeader> tcp;   ///< exactly one of tcp/udp is set.
     std::optional<UdpHeader> udp;
+
+    /** On-wire length of the headers alone. */
+    std::size_t headerSize() const;
+};
+
+/** A full parsed packet: header stack + payload + arrival time. */
+struct RawPacket : PacketHeaders
+{
     std::vector<std::uint8_t> payload;
     double timestampSec = 0.0;
 
@@ -107,10 +115,23 @@ std::uint16_t ipv4Checksum(const std::uint8_t *header, std::size_t length);
 std::vector<std::uint8_t> serialize(const RawPacket &packet);
 
 /**
- * Parse a wire-format buffer back into a packet.
+ * Parse the header stack of a wire-format buffer into @p headers,
+ * leaving the payload where it is. The one place frames are validated.
  *
- * @return the packet, or std::nullopt when the buffer is truncated, not
- *         IPv4, carries an unknown transport, or fails the checksum.
+ * @return the offset of the payload in @p bytes (it runs to the end of
+ *         the buffer), or std::nullopt when the buffer is truncated, not
+ *         IPv4, carries an unknown transport, or fails the checksum
+ *         (@p headers is then partly written).
+ */
+std::optional<std::size_t> parseHeaders(const std::uint8_t *bytes,
+                                        std::size_t size,
+                                        PacketHeaders &headers);
+
+/**
+ * Parse a wire-format buffer back into a packet: parseHeaders plus a
+ * copy of the payload.
+ *
+ * @return the packet, or std::nullopt when parseHeaders rejects it.
  */
 std::optional<RawPacket> parse(const std::vector<std::uint8_t> &bytes,
                                double timestamp_sec = 0.0);

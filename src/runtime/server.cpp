@@ -245,6 +245,12 @@ Server::submit(std::vector<double> features, std::size_t lane)
         throw std::runtime_error(common::format(
             "Server: row has %zu features, model expects %zu",
             features.size(), router_.inputDim()));
+    return admit(std::move(features), lane);
+}
+
+SubmitResult
+Server::admit(std::vector<double> features, std::size_t lane)
+{
     Request request;
     std::uint64_t id = nextId_.fetch_add(1);
     request.id = id;
@@ -257,22 +263,37 @@ Server::submit(std::vector<double> features, std::size_t lane)
 }
 
 SubmitResult
-Server::submitPacket(const net::RawPacket &packet, std::size_t lane)
+Server::admitPacket(const net::PacketHeaders &headers,
+                    const std::uint8_t *payload, std::size_t payload_size,
+                    std::size_t lane)
 {
     if (router_.inputDim() != net::kNumTcFeatures)
         throw std::runtime_error(common::format(
             "Server: model expects %zu features but the packet "
             "extractor emits %zu",
             router_.inputDim(), net::kNumTcFeatures));
-    return submit(extractor_.extract(packet), lane);
+    std::vector<double> features(net::kNumTcFeatures);
+    extractor_.extractInto(headers, payload, payload_size,
+                           features.data());
+    return admit(std::move(features), lane);
+}
+
+SubmitResult
+Server::submitPacket(const net::RawPacket &packet, std::size_t lane)
+{
+    return admitPacket(packet, packet.payload.data(),
+                       packet.payload.size(), lane);
 }
 
 SubmitResult
 Server::submitFrame(const std::vector<std::uint8_t> &frame,
                     std::size_t lane)
 {
-    auto packet = net::parse(frame);
-    if (!packet) {
+    // Headers only: the payload is read for entropy where it lies.
+    net::PacketHeaders headers;
+    std::optional<std::size_t> offset =
+        net::parseHeaders(frame.data(), frame.size(), headers);
+    if (!offset) {
         // A malformed frame is a per-ticket failure, not an anonymous
         // tick: it gets a ticket from the same sequence as admitted
         // rows and an onFailure notification under it (on the
@@ -294,7 +315,8 @@ Server::submitFrame(const std::vector<std::uint8_t> &frame,
         result.ticket = ticket;
         return result;
     }
-    return submitPacket(*packet, lane);
+    return admitPacket(headers, frame.data() + *offset,
+                       frame.size() - *offset, lane);
 }
 
 void

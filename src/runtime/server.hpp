@@ -22,8 +22,9 @@
  * single-model server reports its ModelStats slice, server.model.* /
  * router.* instruments and span hops like any routed server.
  *
- * submitFrame() parses and extracts on the calling thread (the same
- * split StreamHarness uses); the router's per-hop gather scales each
+ * submitFrame() parses the headers and extracts on the calling thread
+ * (the same split StreamHarness uses), reading payload entropy straight
+ * from the frame bytes; the router's per-hop gather scales each
  * raw row with that hop's epoch scaler. Verdicts are bit-identical to
  * running the same scaled rows through ExecutablePlan in one call —
  * batching never changes labels. (In
@@ -367,6 +368,13 @@ class Server
         std::vector<RouteTrace> traces;
         std::vector<RouteStepStats> steps;
     };
+
+    /** Queue one row of the routed input width (already checked). */
+    SubmitResult admit(std::vector<double> features, std::size_t lane);
+    /** Check the packet schema, extract, and admit. */
+    SubmitResult admitPacket(const net::PacketHeaders &headers,
+                             const std::uint8_t *payload,
+                             std::size_t payload_size, std::size_t lane);
 
     void serveLoop();
     /**

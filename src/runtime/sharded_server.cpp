@@ -40,7 +40,7 @@ shardConfig(const ServerConfig &base, std::size_t shard)
 }  // namespace
 
 std::uint64_t
-flowKey(const net::RawPacket &packet)
+flowKey(const net::PacketHeaders &packet)
 {
     std::uint64_t addrs =
         (static_cast<std::uint64_t>(packet.ipv4.srcAddr) << 32) |
@@ -147,10 +147,10 @@ SubmitResult
 ShardedServer::submitFrame(const std::vector<std::uint8_t> &frame,
                            std::size_t lane)
 {
-    // Parse once at the front door: the flow key needs the headers
-    // anyway, and the owning shard then skips re-parsing.
-    auto packet = net::parse(frame);
-    if (!packet) {
+    // The flow key needs the headers; the owning shard re-parses them
+    // (cheaper than copying the payload into a RawPacket here).
+    net::PacketHeaders headers;
+    if (!net::parseHeaders(frame.data(), frame.size(), headers)) {
         // Per-ticket malformed reporting, same contract as
         // Server::submitFrame — but from the front door's own ticket
         // namespace, since no shard ever saw the frame.
@@ -168,7 +168,7 @@ ShardedServer::submitFrame(const std::vector<std::uint8_t> &frame,
         result.ticket = ticket;
         return result;
     }
-    return submitPacket(*packet, lane);
+    return servers_[shardFor(flowKey(headers))]->submitFrame(frame, lane);
 }
 
 telemetry::MetricsSnapshot

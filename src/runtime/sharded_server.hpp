@@ -57,10 +57,10 @@ namespace homunculus::runtime {
 /** Bit position of the shard index inside a sharded ticket. */
 constexpr std::uint64_t kShardTicketShift = 48;
 
-/** Stable 64-bit flow key of a parsed packet: the 5-tuple
+/** Stable 64-bit flow key of a packet's headers: the 5-tuple
  *  (addresses, ports, protocol), mixed through splitmix64. Frames of
  *  one TCP/UDP flow always map to the same key. */
-std::uint64_t flowKey(const net::RawPacket &packet);
+std::uint64_t flowKey(const net::PacketHeaders &packet);
 
 /** Scale-out knobs. */
 struct ShardedServerConfig

@@ -107,15 +107,13 @@ StreamHarness::replayParsed(const std::vector<net::RawPacket> &packets,
         if (rows != slot.features.rows())
             slot.features = math::Matrix(rows, dim);
         for (std::size_t i = 0; i < rows; ++i) {
-            std::vector<double> features =
-                extractor_.extract(packets[row_base + i]);
+            const net::RawPacket &packet = packets[row_base + i];
             double *row = slot.features.rowPtr(i);
-            for (std::size_t c = 0; c < dim; ++c) {
-                double value = features[c];
-                if (means != nullptr)
-                    value = (value - means[c]) / stddevs[c];
-                row[c] = value;
-            }
+            extractor_.extractInto(packet, packet.payload.data(),
+                                   packet.payload.size(), row);
+            if (means != nullptr)
+                for (std::size_t c = 0; c < dim; ++c)
+                    row[c] = (row[c] - means[c]) / stddevs[c];
         }
         slot.rows = rows;
     };

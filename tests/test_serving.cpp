@@ -17,6 +17,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -347,6 +348,71 @@ TEST(Server, WireFramesServeAndMalformedFramesDrop)
     EXPECT_EQ(stats.rowsServed, 300u);
     EXPECT_EQ(stats.malformedFrames, 1u);
     EXPECT_EQ(delivered, 300u);
+}
+
+TEST(Server, ConcurrentFrameSubmittersMatchOnePlanRun)
+{
+    // Four producers share one Server, and so one extractor and its
+    // read-only entropy table: every verdict must equal one plan run
+    // over parse + extract + scale of the same frames.
+    auto model = tcModel(61);
+    hn::IotPacketConfig packet_config;
+    packet_config.numPackets = 4000;
+    packet_config.seed = 19;
+    auto packets = hn::generateIotPackets(packet_config);
+
+    hn::FeatureExtractor extractor;
+    std::vector<std::vector<std::uint8_t>> frames;
+    hm::Matrix raw(packets.size(), hn::kNumTcFeatures);
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+        frames.push_back(hn::serialize(packets[i].packet));
+        std::vector<double> row = extractor.extract(*hn::parse(frames[i]));
+        std::copy(row.begin(), row.end(), raw.rowPtr(i));
+    }
+    ml::StandardScaler scaler;
+    scaler.fit(raw);
+    std::vector<int> reference =
+        hi::ExecutablePlan::compile(model).run(scaler.transform(raw));
+    // A constant model would pass whatever rows the door produced.
+    EXPECT_NE(std::count(reference.begin(), reference.end(),
+                         reference[0]),
+              static_cast<std::ptrdiff_t>(reference.size()));
+
+    std::mutex verdict_mutex;
+    std::map<std::uint64_t, int> verdicts;
+    hr::ServerConfig config;
+    config.queue.maxBatch = 128;
+    config.queue.maxDelayUs = 500;
+    config.queue.maxDepth = 0;
+    hr::Server server(
+        hr::InferenceEngine::fromModel(model, {}), config,
+        [&](const hr::Request &request, int verdict) {
+            std::lock_guard<std::mutex> lock(verdict_mutex);
+            verdicts[request.id] = verdict;
+        },
+        scaler);
+
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::uint64_t> tickets(frames.size(), 0);
+    std::vector<std::thread> producers;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        producers.emplace_back([&, t] {
+            for (std::size_t i = t; i < frames.size(); i += kThreads) {
+                hr::SubmitResult result = server.submitFrame(frames[i]);
+                if (result.admitted())
+                    tickets[i] = result.ticket;
+            }
+        });
+    for (std::thread &producer : producers)
+        producer.join();
+    hr::ServerStats stats = server.stop();
+
+    EXPECT_EQ(stats.rowsServed, frames.size());
+    ASSERT_EQ(verdicts.size(), frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        ASSERT_NE(tickets[i], 0u) << "frame " << i;
+        EXPECT_EQ(verdicts.at(tickets[i]), reference[i]) << "frame " << i;
+    }
 }
 
 TEST(Server, RejectsUnfittedOrMismatchedScalerAndBadRowWidth)
