@@ -494,7 +494,9 @@ CompileSession::searchFamilies()
 
     std::vector<FamilyWork> work;
     for (auto &state : specs_) {
-        state.searches.assign(state.candidates.size(), {});
+        // Value-initialized in place: assign(n, {}) copies from a
+        // temporary whose map member g++ 12 flags -Wmaybe-uninitialized.
+        state.searches = std::vector<FamilySearch>(state.candidates.size());
         // One quantization cache per spec, shared across its family
         // searches: candidates with the same FixedPointFormat reuse one
         // quantized view of the test partition (thread-safe; see

@@ -15,8 +15,8 @@
  * (results are bit-identical for a fixed seed regardless of thread count:
  * every family search derives its own seed and owns all of its state).
  *
- * The legacy core::generate() entry point survives as a thin shim over
- * this API (see generate.hpp).
+ * Compiler::compile() is the one entry point: it drives every stage of
+ * a fresh session and returns the CompileReport or the failing Status.
  */
 #pragma once
 

@@ -63,8 +63,12 @@ halveSplit(const ml::DataSplit &full, std::uint64_t seed)
     auto [train_a, train_b] = halve(full.train);
     auto [test_a, test_b] = halve(full.test);
 
-    ml::DataSplit part1{std::move(train_a), std::move(test_a)};
-    ml::DataSplit part2{std::move(train_b), std::move(test_b)};
+    ml::DataSplit part1;
+    part1.train = std::move(train_a);
+    part1.test = std::move(test_a);
+    ml::DataSplit part2;
+    part2.train = std::move(train_b);
+    part2.test = std::move(test_b);
     return {part1, part2};
 }
 

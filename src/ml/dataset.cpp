@@ -99,7 +99,10 @@ trainTestSplit(const Dataset &data, double test_fraction, std::uint64_t seed)
                                           static_cast<std::ptrdiff_t>(test_count));
     std::vector<std::size_t> train_idx(
         perm.begin() + static_cast<std::ptrdiff_t>(test_count), perm.end());
-    return {data.selectSamples(train_idx), data.selectSamples(test_idx)};
+    DataSplit split;
+    split.train = data.selectSamples(train_idx);
+    split.test = data.selectSamples(test_idx);
+    return split;
 }
 
 DataSplit
@@ -127,7 +130,10 @@ stratifiedSplit(const Dataset &data, double test_fraction, std::uint64_t seed)
     }
     rng.shuffle(train_idx);
     rng.shuffle(test_idx);
-    return {data.selectSamples(train_idx), data.selectSamples(test_idx)};
+    DataSplit split;
+    split.train = data.selectSamples(train_idx);
+    split.test = data.selectSamples(test_idx);
+    return split;
 }
 
 }  // namespace homunculus::ml

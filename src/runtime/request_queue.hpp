@@ -4,13 +4,14 @@
  * size-or-deadline batching, pluggable backpressure, and a lock-free
  * submit path.
  *
- * The serving path's front door. StreamHarness replays a whole trace in
- * fixed micro-batches — fine for throughput measurement, useless under
- * live arrivals, where waiting to fill a batch makes tail latency
- * unbounded at low load and unbounded queueing makes it unbounded at
- * high load. This queue implements the standard serving answer to both
- * (the batching policy of ASAP-style operator runtimes), generalized to
- * mixed request classes:
+ * The serving path's admission layer, behind Server::submit and
+ * Server::submitFrame. StreamHarness (homc --replay) replays a recorded
+ * trace in fixed micro-batches — fine for throughput measurement,
+ * useless under live arrivals, where waiting to fill a batch makes tail
+ * latency unbounded at low load and unbounded queueing makes it
+ * unbounded at high load. This queue implements the standard serving
+ * answer to both (the batching policy of ASAP-style operator runtimes),
+ * generalized to mixed request classes:
  *
  *  - priority lanes: requests are admitted into one of N lanes, each
  *    with its own QueuePolicy (maxBatch / maxDelayUs / maxDepth). Lane
@@ -53,8 +54,7 @@
  * per-lane lock-free MPSC ring (see mpsc_ring.hpp) with one CAS slot
  * reservation — so N submitting cores no longer serialize on one mutex
  * line, and submit-path p99 stays flat as producers are added. The
- * mutex + condition variables survive only at the two edges the issue
- * carves out:
+ * mutex + condition variables survive only at two edges:
  *
  *   - consumer sleep: when no lane is ready the consumer parks on
  *     readyCv_. Producers detect a sleeping consumer via a flag with a

@@ -131,77 +131,67 @@ StreamHarness::replayParsed(const std::vector<net::RawPacket> &packets,
     };
 
     auto wall_start = Clock::now();
-    if (!config_.pipelined) {
-        Slot &slot = slots[0];
-        for (std::size_t b = 0; b < num_batches; ++b) {
-            auto started = Clock::now();
-            extractBatch(b, slot);
-            stats.extractSeconds += secondsSince(started);
-            inferBatch(b, slot);
-        }
-    } else {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool stop = false;
-        std::exception_ptr producer_error;
-        double extract_seconds = 0.0;
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool stop = false;
+    std::exception_ptr producer_error;
+    double extract_seconds = 0.0;
 
-        std::thread producer([&] {
-            try {
-                for (std::size_t b = 0; b < num_batches; ++b) {
-                    Slot &slot = slots[b & 1];
-                    {
-                        std::unique_lock<std::mutex> lock(mutex);
-                        cv.wait(lock,
-                                [&] { return !slot.full || stop; });
-                        if (stop)
-                            return;
-                    }
-                    auto started = Clock::now();
-                    extractBatch(b, slot);
-                    extract_seconds += secondsSince(started);
-                    {
-                        std::lock_guard<std::mutex> lock(mutex);
-                        slot.full = true;
-                    }
-                    cv.notify_all();
+    std::thread producer([&] {
+        try {
+            for (std::size_t b = 0; b < num_batches; ++b) {
+                Slot &slot = slots[b & 1];
+                {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    cv.wait(lock, [&] { return !slot.full || stop; });
+                    if (stop)
+                        return;
                 }
-            } catch (...) {
+                auto started = Clock::now();
+                extractBatch(b, slot);
+                extract_seconds += secondsSince(started);
                 {
                     std::lock_guard<std::mutex> lock(mutex);
-                    producer_error = std::current_exception();
-                    stop = true;
+                    slot.full = true;
                 }
                 cv.notify_all();
             }
-        });
-
-        for (std::size_t b = 0; b < num_batches; ++b) {
-            Slot &slot = slots[b & 1];
-            {
-                std::unique_lock<std::mutex> lock(mutex);
-                cv.wait(lock, [&] { return slot.full || stop; });
-                if (stop)
-                    break;
-            }
-            inferBatch(b, slot);
+        } catch (...) {
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                slot.full = false;
+                producer_error = std::current_exception();
+                stop = true;
             }
             cv.notify_all();
         }
+    });
+
+    for (std::size_t b = 0; b < num_batches; ++b) {
+        Slot &slot = slots[b & 1];
         {
-            // Consumer-side exit (error case): release a waiting producer.
+            std::unique_lock<std::mutex> lock(mutex);
+            cv.wait(lock, [&] { return slot.full || stop; });
+            if (stop)
+                break;
+        }
+        inferBatch(b, slot);
+        {
             std::lock_guard<std::mutex> lock(mutex);
-            stop = true;
+            slot.full = false;
         }
         cv.notify_all();
-        producer.join();
-        stats.extractSeconds = extract_seconds;
-        if (producer_error)
-            std::rethrow_exception(producer_error);
     }
+    {
+        // Consumer-side exit (error case): release a waiting producer.
+        std::lock_guard<std::mutex> lock(mutex);
+        stop = true;
+    }
+    cv.notify_all();
+    producer.join();
+    stats.extractSeconds = extract_seconds;
+    if (producer_error)
+        std::rethrow_exception(producer_error);
+
     stats.wallSeconds = secondsSince(wall_start);
 
     stats.rowsPerSec = stats.wallSeconds > 0.0

@@ -3,19 +3,20 @@
  * StreamHarness: trace-replay serving loop over the inference engine.
  *
  * The software twin of the deployed line-rate path, built for throughput
- * measurement rather than per-packet stepping (core::PipelineHarness):
- * a packet trace is replayed through net::FeatureExtractor into
- * fixed-size micro-batches, and extraction is pipelined against
- * inference with two buffers — while the engine classifies batch b, a
- * producer thread parses/extracts/scales batch b+1. Inference itself
- * shards each micro-batch across cores (runtime::InferenceEngine).
+ * measurement over a recorded trace rather than live arrivals (those go
+ * through runtime::Server): a packet trace is replayed through
+ * net::FeatureExtractor into fixed-size micro-batches, and extraction
+ * is pipelined against inference with two buffers — while the engine
+ * classifies batch b, a producer thread parses/extracts/scales batch
+ * b+1. Inference itself shards each micro-batch across cores
+ * (runtime::InferenceEngine).
  *
  * Reported per replay: rows/s over the whole trace, p50/p99 per-batch
  * inference latency, and extract-vs-infer second splits (the visible
  * pipeline-overlap win). Verdicts come back in trace order and are
  * bit-identical to running the plan over the whole extracted matrix in
- * one call, pipelined or not — end-of-trace drain included (the final
- * partial batch is classified like any other).
+ * one call — end-of-trace drain included (the final partial batch is
+ * classified like any other).
  */
 #pragma once
 
@@ -34,9 +35,6 @@ struct StreamConfig
 {
     /** Rows per micro-batch handed to the engine. */
     std::size_t batchRows = 1024;
-    /** Overlap extraction with inference (double-buffered). Disable to
-     *  run strictly sequentially (same verdicts; used by tests). */
-    bool pipelined = true;
 };
 
 /** Everything one replay produced. */

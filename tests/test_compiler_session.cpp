@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/compiler.hpp"
-#include "core/generate.hpp"
 #include "data/anomaly_generator.hpp"
 
 namespace hcore = homunculus::core;
@@ -85,36 +84,6 @@ TEST(CompilerSession, StagesMustRunInOrder)
 
     ASSERT_NE(session.searchesFor("ad"), nullptr);
     EXPECT_EQ(session.searchesFor("ad")->size(), 1u);
-}
-
-TEST(CompilerSession, CompileMatchesLegacyGenerateShim)
-{
-    auto spec = adSpec();
-
-    auto platform_new = hcore::Platforms::taurus();
-    platform_new.constrain({1.0, 500.0}, {16, 16});
-    platform_new.schedule(spec);
-    hcore::Compiler compiler(tinyOptions());
-    auto compiled = compiler.compile(platform_new);
-    ASSERT_TRUE(compiled.isOk());
-
-    auto platform_old = hcore::Platforms::taurus();
-    platform_old.constrain({1.0, 500.0}, {16, 16});
-    platform_old.schedule(spec);
-    hcore::GenerateOptions legacy;
-    legacy.bo.numInitSamples = 3;
-    legacy.bo.numIterations = 4;
-    auto generated = hcore::generate(platform_old, legacy);
-    ASSERT_TRUE(generated.success);
-
-    const auto *model_new = compiled->find("ad");
-    const auto *model_old = generated.find("ad");
-    ASSERT_NE(model_new, nullptr);
-    ASSERT_NE(model_old, nullptr);
-    EXPECT_EQ(model_new->algorithm, model_old->algorithm);
-    EXPECT_EQ(model_new->objective, model_old->objective);  // bit-exact.
-    EXPECT_EQ(model_new->code, model_old->code);
-    EXPECT_EQ(model_new->model.paramCount(), model_old->model.paramCount());
 }
 
 TEST(CompilerSession, ResultsBitIdenticalAcrossJobs)
@@ -224,16 +193,6 @@ TEST(CompilerSession, InfeasibleEnvelopeYieldsInfeasibleStatus)
     // diagnostics must name the failing spec.
     EXPECT_NE(compiled.status().toString().find("ad"), std::string::npos);
     EXPECT_FALSE(compiled.status().context().empty());
-
-    // The legacy shim surfaces the same failure as its usual exception.
-    auto platform_old = hcore::Platforms::taurus();
-    platform_old.constrain({50.0, 1.0}, {4, 4});
-    platform_old.schedule(adSpec(600));
-    hcore::GenerateOptions legacy;
-    legacy.bo.numInitSamples = 3;
-    legacy.bo.numIterations = 4;
-    EXPECT_THROW(hcore::generate(platform_old, legacy),
-                 std::runtime_error);
 }
 
 TEST(CompilerSession, MissingLoaderYieldsInvalidArgument)

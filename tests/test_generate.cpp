@@ -1,13 +1,14 @@
 /**
  * @file
- * Integration tests: the full generate() pipeline on all three backends.
+ * Integration tests: the full Compiler::compile() pipeline on all three
+ * backends.
  *
  * Budgets are kept small so the suite stays fast; the benches exercise
  * the paper-scale budgets.
  */
 #include <gtest/gtest.h>
 
-#include "core/generate.hpp"
+#include "core/compiler.hpp"
 #include "ml/metrics.hpp"
 #include "data/anomaly_generator.hpp"
 #include "data/iot_traffic_generator.hpp"
@@ -32,10 +33,10 @@ adSpec(std::size_t samples = 1200)
     return spec;
 }
 
-hcore::GenerateOptions
+hcore::CompileOptions
 tinyBudget()
 {
-    hcore::GenerateOptions options;
+    hcore::CompileOptions options;
     options.bo.numInitSamples = 3;
     options.bo.numIterations = 4;
     return options;
@@ -49,9 +50,9 @@ TEST(Generate, EndToEndOnTaurusProducesFeasibleDnn)
     platform.constrain({1.0, 500.0}, {16, 16, {}});
     platform.schedule(adSpec());
 
-    auto result = hcore::generate(platform, tinyBudget());
-    ASSERT_TRUE(result.success);
-    const auto *model = result.find("ad");
+    auto result = hcore::Compiler(tinyBudget()).compile(platform);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    const auto *model = result->find("ad");
     ASSERT_NE(model, nullptr);
     EXPECT_EQ(model->algorithm, hcore::Algorithm::kDnn);
     EXPECT_TRUE(model->report.feasible);
@@ -74,9 +75,9 @@ TEST(Generate, EndToEndOnMatPrunesDnnAndStillSucceeds)
     };
     platform.schedule(spec);
 
-    auto result = hcore::generate(platform, tinyBudget());
-    ASSERT_TRUE(result.success);
-    const auto *model = result.find("tc");
+    auto result = hcore::Compiler(tinyBudget()).compile(platform);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    const auto *model = result->find("tc");
     ASSERT_NE(model, nullptr);
     EXPECT_NE(model->algorithm, hcore::Algorithm::kDnn);
     EXPECT_TRUE(model->report.feasible);
@@ -88,9 +89,9 @@ TEST(Generate, EndToEndOnFpga)
 {
     auto platform = hcore::Platforms::fpga();
     platform.schedule(adSpec(800));
-    auto result = hcore::generate(platform, tinyBudget());
-    ASSERT_TRUE(result.success);
-    const auto *model = result.find("ad");
+    auto result = hcore::Compiler(tinyBudget()).compile(platform);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    const auto *model = result->find("ad");
     ASSERT_NE(model, nullptr);
     EXPECT_GT(model->report.powerWatts, 15.131);
     EXPECT_GT(model->report.lutPercent, 5.36);
@@ -105,14 +106,14 @@ TEST(Generate, ScheduleResourcesAccountForAllLeaves)
     b.name = "ad_b";
     platform.schedule(a > b);
 
-    auto result = hcore::generate(platform, tinyBudget());
-    ASSERT_TRUE(result.success);
-    ASSERT_EQ(result.models.size(), 2u);
-    ASSERT_EQ(result.scheduleResources.size(), 1u);
-    const auto &total = result.scheduleResources[0];
+    auto result = hcore::Compiler(tinyBudget()).compile(platform);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    ASSERT_EQ(result->models.size(), 2u);
+    ASSERT_EQ(result->scheduleResources.size(), 1u);
+    const auto &total = result->scheduleResources[0];
     EXPECT_EQ(total.computeUnits,
-              result.models[0].report.computeUnits +
-                  result.models[1].report.computeUnits);
+              result->models[0].report.computeUnits +
+                  result->models[1].report.computeUnits);
 }
 
 TEST(Generate, SearchHistoryIsUsableForRegretPlots)
@@ -120,8 +121,8 @@ TEST(Generate, SearchHistoryIsUsableForRegretPlots)
     auto platform = hcore::Platforms::taurus();
     platform.schedule(adSpec(800));
     auto options = tinyBudget();
-    auto result = hcore::generate(platform, options);
-    const auto *model = result.find("ad");
+    auto result = hcore::Compiler(options).compile(platform);
+    const auto *model = result->find("ad");
     ASSERT_NE(model, nullptr);
     EXPECT_EQ(model->searchHistory.history.size(),
               options.bo.numInitSamples + options.bo.numIterations);
@@ -136,8 +137,10 @@ TEST(Generate, MissingDataLoaderThrows)
     hcore::ModelSpec broken;
     broken.name = "no_loader";
     platform.schedule(broken);
-    EXPECT_THROW(hcore::generate(platform, tinyBudget()),
-                 std::runtime_error);
+    auto result = hcore::Compiler(tinyBudget()).compile(platform);
+    ASSERT_FALSE(result.isOk());
+    EXPECT_EQ(result.status().code(), hcore::StatusCode::kInvalidArgument);
+    EXPECT_THROW(result.value(), std::runtime_error);
 }
 
 TEST(Generate, ObjectiveComesFromQuantizedBackendEvaluation)
@@ -147,8 +150,8 @@ TEST(Generate, ObjectiveComesFromQuantizedBackendEvaluation)
     auto platform = hcore::Platforms::taurus();
     auto spec = adSpec(1000);
     platform.schedule(spec);
-    auto result = hcore::generate(platform, tinyBudget());
-    const auto *model = result.find("ad");
+    auto result = hcore::Compiler(tinyBudget()).compile(platform);
+    const auto *model = result->find("ad");
     ASSERT_NE(model, nullptr);
 
     auto split = spec.dataLoader();

@@ -5,7 +5,8 @@
  * width, concurrent execution of one shared plan, per-format
  * quantization caching (bit-exactness included), EvalOptions plumbing
  * through the backends, caller-scratch runRow, StreamHarness
- * end-of-trace drain, and inferJobs determinism through searchSpec.
+ * end-of-trace drain and packet-to-verdict accuracy, and inferJobs
+ * determinism through searchSpec.
  *
  * The concurrency tests double as the TSAN workload: CI runs this
  * binary under -fsanitize=thread (see .github/workflows/ci.yml).
@@ -22,8 +23,8 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/compiler.hpp"
-#include "core/generate.hpp"
 #include "data/anomaly_generator.hpp"
+#include "ml/metrics.hpp"
 #include "net/feature_extract.hpp"
 #include "runtime/inference_engine.hpp"
 #include "runtime/quant_cache.hpp"
@@ -452,6 +453,20 @@ iotTrace(std::size_t count, std::uint64_t seed)
     return packets;
 }
 
+/** The extractor's feature rows for @p packets, one row per packet. */
+hm::Matrix
+extractedMatrix(const std::vector<hn::RawPacket> &packets)
+{
+    hn::FeatureExtractor extractor;
+    hm::Matrix features(packets.size(), hn::kNumTcFeatures);
+    for (std::size_t r = 0; r < packets.size(); ++r) {
+        auto row = extractor.extract(packets[r]);
+        for (std::size_t c = 0; c < row.size(); ++c)
+            features(r, c) = row[c];
+    }
+    return features;
+}
+
 }  // namespace
 
 TEST(StreamHarness, DrainsPartialFinalBatchInTraceOrder)
@@ -474,15 +489,8 @@ TEST(StreamHarness, DrainsPartialFinalBatchInTraceOrder)
     ASSERT_EQ(stats.verdicts.size(), 997u);
 
     // Verdicts match the engine run over the whole extracted matrix.
-    hn::FeatureExtractor extractor;
-    hm::Matrix features(packets.size(), hn::kNumTcFeatures);
-    for (std::size_t r = 0; r < packets.size(); ++r) {
-        auto row = extractor.extract(packets[r]);
-        for (std::size_t c = 0; c < row.size(); ++c)
-            features(r, c) = row[c];
-    }
-    EXPECT_EQ(stats.verdicts,
-              hi::ExecutablePlan::compile(model).run(features));
+    EXPECT_EQ(stats.verdicts, hi::ExecutablePlan::compile(model).run(
+                                  extractedMatrix(packets)));
 }
 
 TEST(StreamHarness, PipelinedMatchesSequentialReplay)
@@ -493,25 +501,59 @@ TEST(StreamHarness, PipelinedMatchesSequentialReplay)
     hr::EngineOptions engine_options;
     engine_options.jobs = 2;
     engine_options.minRowsToShard = 1;
-    hr::StreamConfig pipelined;
-    pipelined.batchRows = 200;
-    pipelined.pipelined = true;
-    hr::StreamConfig sequential = pipelined;
-    sequential.pipelined = false;
+    hr::StreamConfig config;
+    config.batchRows = 200;
 
-    hr::StreamHarness a(hr::InferenceEngine::fromModel(model,
-                                                       engine_options),
-                        hn::FeatureExtractor(), std::nullopt, pipelined);
-    hr::StreamHarness b(hr::InferenceEngine::fromModel(model,
-                                                       engine_options),
-                        hn::FeatureExtractor(), std::nullopt, sequential);
-    hr::StreamStats sa = a.replay(packets);
-    hr::StreamStats sb = b.replay(packets);
-    EXPECT_EQ(sa.verdicts, sb.verdicts);
-    EXPECT_EQ(sa.batches, sb.batches);
-    EXPECT_EQ(sa.rowsClassified, sb.rowsClassified);
-    EXPECT_GT(sa.rowsPerSec, 0.0);
-    EXPECT_GE(sa.p99BatchLatencyUs, sa.p50BatchLatencyUs);
+    // Extraction of batch b+1 overlaps a 2-wide sharded inference of
+    // batch b; the verdicts must equal one sequential plan run over
+    // the whole extracted matrix.
+    hr::StreamHarness harness(
+        hr::InferenceEngine::fromModel(model, engine_options),
+        hn::FeatureExtractor(), std::nullopt, config);
+    hr::StreamStats stats = harness.replay(packets);
+    EXPECT_EQ(stats.verdicts, hi::ExecutablePlan::compile(model).run(
+                                  extractedMatrix(packets)));
+    EXPECT_EQ(stats.batches, 8u);  // 1500 rows in 200-row batches.
+    EXPECT_EQ(stats.rowsClassified, 1500u);
+    EXPECT_GT(stats.rowsPerSec, 0.0);
+    EXPECT_GE(stats.p99BatchLatencyUs, stats.p50BatchLatencyUs);
+}
+
+TEST(StreamHarness, ReplaysParsedPacketsEndToEnd)
+{
+    hn::IotPacketConfig config;
+    config.numPackets = 400;
+    auto packets = hn::generateIotPackets(config);
+    hn::FeatureExtractor extractor;
+    auto dataset = hn::datasetFromPackets(packets, extractor);
+
+    ml::StandardScaler scaler;
+    ml::Dataset scaled = dataset;
+    scaled.x = scaler.fitTransform(dataset.x);
+
+    ml::MlpConfig mlp_config;
+    mlp_config.inputDim = dataset.numFeatures();
+    mlp_config.numClasses = dataset.numClasses;
+    mlp_config.hiddenLayers = {12};
+    mlp_config.epochs = 30;
+    ml::Mlp mlp(mlp_config);
+    mlp.train(scaled);
+    auto ir = hi::lowerMlp(mlp, hc::FixedPointFormat::q88(), "tc");
+
+    hr::StreamHarness harness(hr::InferenceEngine::fromModel(ir, {}),
+                              extractor, scaler);
+    std::vector<hn::RawPacket> raw;
+    std::vector<int> truth;
+    for (const auto &labeled : packets) {
+        raw.push_back(labeled.packet);
+        truth.push_back(labeled.deviceClass);
+    }
+    hr::StreamStats stats = harness.replay(raw);
+    EXPECT_EQ(stats.packetsOffered, 400u);
+    EXPECT_EQ(stats.rowsClassified, 400u);
+    EXPECT_GT(stats.rowsPerSec, 0.0);
+    // Separable archetypes: the deployed model should be quite accurate.
+    EXPECT_GT(ml::accuracy(truth, stats.verdicts), 0.8);
 }
 
 TEST(StreamHarness, WirePathDropsMalformedFramesOnly)

@@ -465,9 +465,8 @@ parseArgs(int argc, const char *const *argv, CliOptions &options,
     take_u64("seed", options.seed);
     if (auto it = flags.find("kernel"); it != flags.end()) {
         std::string target = common::toLower(common::trim(it->second));
-        if (target != "auto" && target != "scalar" && target != "avx2" &&
-            target != "neon") {
-            err << "homc: --kernel expects auto|scalar|avx2|neon, got '"
+        if (target != "auto" && target != "scalar" && target != "avx2") {
+            err << "homc: --kernel expects auto|scalar|avx2, got '"
                 << it->second << "'\n";
             ok = false;
         } else {
@@ -738,9 +737,9 @@ printUsage(std::ostream &out)
         "                           live counters line to stderr\n"
         "                           (default 0 = off)\n"
         "  --kernel T               pin the CPU kernel table: auto|\n"
-        "                           scalar|avx2|neon (default auto =\n"
-        "                           probe; errors when T is not\n"
-        "                           available on this host)\n"
+        "                           scalar|avx2 (default auto = probe;\n"
+        "                           errors when T is not available on\n"
+        "                           this host)\n"
         "  --list-kernels           enumerate kernel targets: which are\n"
         "                           available here and which the probe\n"
         "                           (or HOMUNCULUS_KERNELS) picks\n"
