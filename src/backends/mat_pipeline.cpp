@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "kernels/kernel_dispatch.hpp"
 #include "runtime/executor.hpp"
 

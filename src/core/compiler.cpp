@@ -578,10 +578,8 @@ CompileSession::emit()
     for (GeneratedModel &model : report_.models) {
         if (Status status = runEmitPasses(options_, target, model); !status)
             return status;
-        if (options_.emitCode) {
-            if (Status status = emitModelCode(target, model); !status)
-                return status;
-        }
+        if (Status status = emitModelCode(target, model); !status)
+            return status;
         ProgressEvent event;
         event.stage = Stage::kEmit;
         event.specName = model.specName;
@@ -680,10 +678,9 @@ searchSpec(const ModelSpec &spec, PlatformHandle &platform,
         if (Status status = runEmitPasses(options, target, winner.value());
             !status)
             return status;
-        if (options.emitCode)
-            if (Status status = emitModelCode(target, winner.value());
-                !status)
-                return status;
+        if (Status status = emitModelCode(target, winner.value());
+            !status)
+            return status;
     }
     return winner;
 }

@@ -99,7 +99,6 @@ struct CompileOptions
      */
     opt::BoConfig bo;
     std::uint64_t seed = 9;      ///< training/search determinism.
-    bool emitCode = true;        ///< run the backend code generator.
     std::size_t jobs = 1;        ///< family-search pool width (0 = #cores).
     /**
      * Row-shard width for scoring each candidate on its test partition
@@ -198,8 +197,7 @@ class CompileSession
     /**
      * Stage 5: run the IR pass pipeline (CompileOptions::emitPasses or
      * the default optimization pipeline) on every winning model,
-     * refresh its resource report, then generate backend code (codegen
-     * skipped when !emitCode).
+     * refresh its resource report, then generate backend code.
      */
     Status emit();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 
@@ -37,9 +38,16 @@ shouldFuse(const ml::Dataset &a, const ml::Dataset &b)
 ml::DataSplit
 fuseSplits(const ml::DataSplit &a, const ml::DataSplit &b)
 {
+    // One artifact records one input transform, so both halves must
+    // have been standardized identically (or both left raw).
+    if (a.scalerMeans != b.scalerMeans || a.scalerStds != b.scalerStds)
+        throw std::invalid_argument(
+            "fuseSplits: splits carry different scaler moments");
     ml::DataSplit fused;
     fused.train = a.train.concat(b.train);
     fused.test = a.test.concat(b.test);
+    fused.scalerMeans = a.scalerMeans;
+    fused.scalerStds = a.scalerStds;
     return fused;
 }
 
@@ -63,12 +71,18 @@ halveSplit(const ml::DataSplit &full, std::uint64_t seed)
     auto [train_a, train_b] = halve(full.train);
     auto [test_a, test_b] = halve(full.test);
 
+    // Both halves keep the full split's scaler moments: their rows are
+    // still in the space that transform produced.
     ml::DataSplit part1;
     part1.train = std::move(train_a);
     part1.test = std::move(test_a);
+    part1.scalerMeans = full.scalerMeans;
+    part1.scalerStds = full.scalerStds;
     ml::DataSplit part2;
     part2.train = std::move(train_b);
     part2.test = std::move(test_b);
+    part2.scalerMeans = full.scalerMeans;
+    part2.scalerStds = full.scalerStds;
     return {part1, part2};
 }
 

@@ -33,13 +33,18 @@ constexpr double kFusionOverlapThreshold = 0.75;
 /** Whether the framework would fuse these two datasets. */
 bool shouldFuse(const ml::Dataset &a, const ml::Dataset &b);
 
-/** Union two splits (same schema) into one fused split. */
+/**
+ * Union two splits (same schema) into one fused split that keeps their
+ * shared scaler moments.
+ * @throws std::invalid_argument when the splits' scaler moments differ.
+ */
 ml::DataSplit fuseSplits(const ml::DataSplit &a, const ml::DataSplit &b);
 
 /**
  * Split one dataset into two halves by rows — the Table 4 experiment's
  * setup, where one application's data is artificially divided between two
- * "separate" models before fusion recovers the sharing.
+ * "separate" models before fusion recovers the sharing. Both halves
+ * keep @p full's scaler moments.
  */
 std::pair<ml::DataSplit, ml::DataSplit> halveSplit(const ml::DataSplit &full,
                                                    std::uint64_t seed);

@@ -1,18 +1,16 @@
 #include "ir/exec_plan.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
 
 #include "kernels/kernel_dispatch.hpp"
 
 namespace homunculus::ir {
 
 namespace {
-
-/** Rows quantized together so layer weights stay hot across the block. */
-constexpr std::size_t kRowBlock = 32;
 
 /** Saturate to the format's raw range (same math as FixedPointFormat). */
 inline std::int32_t
@@ -23,6 +21,18 @@ saturateRaw(std::int64_t raw, std::int64_t raw_min, std::int64_t raw_max)
     if (raw < raw_min)
         raw = raw_min;
     return static_cast<std::int32_t>(raw);
+}
+
+/** The lane-interleaved input and ping-pong activation buffers of one
+ *  GEMM word type. */
+template <typename Word>
+std::tuple<std::vector<Word> *, std::vector<Word> *, std::vector<Word> *>
+laneBuffers(ExecutablePlan::Scratch &scratch)
+{
+    if constexpr (std::is_same_v<Word, std::int32_t>)
+        return {&scratch.quantized, &scratch.actA, &scratch.actB};
+    else
+        return {&scratch.quantized16, &scratch.act16A, &scratch.act16B};
 }
 
 }  // namespace
@@ -151,111 +161,43 @@ ExecutablePlan::compile(const ModelIr &model)
     return plan;
 }
 
-void
-ExecutablePlan::runMlpRangeNarrow(const math::Matrix *x,
-                                  const QuantizedMatrix *qx,
-                                  std::size_t row_begin,
-                                  std::size_t row_end, int *labels,
-                                  Scratch &scratch,
-                                  const kernels::KernelOps &ops) const
-{
-    // The blocked int32 GEMM path for formats of <= 16 total bits (the
-    // Q8.8 default). kLanes rows are processed together in a lane-major
-    // interleaved layout (element `in` of lane `l` lives at
-    // in * kLanes + l), which makes the lane dimension stride-1 — the
-    // dense kernel holds the accumulators in one vector register. With
-    // a narrow format every |raw| <= 2^15, so a weight * activation
-    // product fits int32 exactly and the whole MAC — product,
-    // renormalizing shift, both saturations — runs in int32 lanes.
-    // Each lane still replays the interpreter's exact saturating term
-    // order (the kernel contract), so labels are bit-identical to
-    // executeIr regardless of where a shard's lane groups fall or
-    // which dispatch target runs them.
-    constexpr std::size_t kLanes = kernels::kDenseLanes32;
-    scratch.quantized.resize(kLanes * inputDim_);
-    scratch.actA.resize(kLanes * maxWidth_);
-    scratch.actB.resize(kLanes * maxWidth_);
-    std::int32_t *quantized = scratch.quantized.data();
-
-    kernels::DenseI32Args args;
-    args.fracBits = fracBits_;
-    args.rawMin = static_cast<std::int32_t>(rawMin_);
-    args.rawMax = static_cast<std::int32_t>(rawMax_);
-    args.actLo = actLo_;
-    args.actHi = actHi_;
-
-    std::size_t base = row_begin;
-    for (; base + kLanes <= row_end; base += kLanes) {
-        if (qx != nullptr) {
-            for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                const std::int32_t *q = qx->rowPtr(base + lane);
-                for (std::size_t in = 0; in < inputDim_; ++in)
-                    quantized[in * kLanes + lane] = q[in];
-            }
-        } else {
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
-                format_.quantizeInto(x->rowPtr(base + lane),
-                                     &quantized[lane], inputDim_, kLanes);
-        }
-
-        const std::int32_t *current = quantized;
-        std::int32_t *front = scratch.actA.data();
-        std::int32_t *back = scratch.actB.data();
-        for (std::size_t l = 0; l < layers_.size(); ++l) {
-            const Layer &layer = layers_[l];
-            args.input = current;
-            args.output = front;
-            args.weightsT = layer.weights16.data();
-            args.biases = layer.biases.data();
-            args.inputDim = layer.inputDim;
-            args.outputDim = layer.outputDim;
-            args.clampAct = l + 1 < layers_.size();
-            ops.denseI32(args);
-            current = front;
-            std::swap(front, back);
-        }
-
-        ops.argmaxI32(current, layers_.back().outputDim,
-                      labels + (base - row_begin));
-    }
-
-    for (; base < row_end; ++base) {
-        const std::int32_t *q;
-        if (qx != nullptr) {
-            q = qx->rowPtr(base);
-        } else {
-            quantizeRow(x->rowPtr(base), quantized);
-            q = quantized;
-        }
-        labels[base - row_begin] = inferMlp(q, scratch);
-    }
-}
-
-void
-ExecutablePlan::runMlpRangeI8(const math::Matrix *x,
+template <std::size_t kLanes, typename Word, typename Args,
+          typename Weight, typename Bias>
+std::size_t
+ExecutablePlan::runMlpBlocked(const math::Matrix *x,
                               const QuantizedMatrix *qx,
                               std::size_t row_begin, std::size_t row_end,
                               int *labels, Scratch &scratch,
-                              const kernels::KernelOps &ops) const
+                              std::vector<Weight> Layer::*weights,
+                              std::vector<Bias> Layer::*biases,
+                              void (*dense)(const Args &),
+                              void (*argmax)(const Word *, std::size_t,
+                                             int *)) const
 {
-    // The int8-weight fast path for formats of <= 8 total bits: 16
-    // rows per group in all-int16 arithmetic (|raw| <= 2^7 keeps every
-    // product within int16 and every post-clamp sum within [-256, 255],
-    // so int16 replays the int64 reference exactly). Same interleaved
-    // layout as the int32 path, twice the lanes per register.
-    constexpr std::size_t kLanes = kernels::kDenseLanes16;
-    scratch.quantized.resize(inputDim_);  // int32 quantizer staging.
-    scratch.quantized16.resize(kLanes * inputDim_);
-    scratch.act16A.resize(kLanes * maxWidth_);
-    scratch.act16B.resize(kLanes * maxWidth_);
-    std::int16_t *quantized16 = scratch.quantized16.data();
+    // The blocked GEMM path for narrow formats. kLanes rows are
+    // processed together in a lane-major interleaved layout (element
+    // `in` of lane `l` lives at in * kLanes + l), which makes the lane
+    // dimension stride-1 — the dense kernel holds the accumulators in
+    // one vector register. Word is the narrowest type that replays the
+    // int64 reference exactly: int32 for <= 16-bit formats (|raw| <=
+    // 2^15, so a product fits int32), int16 for <= 8-bit formats
+    // (products <= 2^14, post-clamp sums within [-256, 255]). Each lane
+    // still replays the interpreter's exact saturating term order (the
+    // kernel contract), so labels are bit-identical to executeIr
+    // regardless of where a shard's lane groups fall or which dispatch
+    // target runs them.
+    auto [lanes_in, lanes_a, lanes_b] = laneBuffers<Word>(scratch);
+    lanes_in->resize(kLanes * inputDim_);
+    lanes_a->resize(kLanes * maxWidth_);
+    lanes_b->resize(kLanes * maxWidth_);
+    Word *input = lanes_in->data();
 
-    kernels::DenseI16Args args;
+    Args args;
     args.fracBits = fracBits_;
-    args.rawMin = static_cast<std::int16_t>(rawMin_);
-    args.rawMax = static_cast<std::int16_t>(rawMax_);
-    args.actLo = static_cast<std::int16_t>(actLo_);
-    args.actHi = static_cast<std::int16_t>(actHi_);
+    args.rawMin = static_cast<Word>(rawMin_);
+    args.rawMax = static_cast<Word>(rawMax_);
+    args.actLo = static_cast<Word>(actLo_);
+    args.actHi = static_cast<Word>(actHi_);
 
     std::size_t base = row_begin;
     for (; base + kLanes <= row_end; base += kLanes) {
@@ -263,205 +205,44 @@ ExecutablePlan::runMlpRangeI8(const math::Matrix *x,
             const std::int32_t *q;
             if (qx != nullptr) {
                 q = qx->rowPtr(base + lane);
+            } else if constexpr (std::is_same_v<Word, std::int32_t>) {
+                format_.quantizeInto(x->rowPtr(base + lane), &input[lane],
+                                     inputDim_, kLanes);
+                continue;
             } else {
-                format_.quantizeInto(x->rowPtr(base + lane),
-                                     scratch.quantized.data(),
-                                     inputDim_);
+                // Staged through the int32 row buffer (runRangeImpl
+                // sized it).
+                quantizeRow(x->rowPtr(base + lane),
+                            scratch.quantized.data());
                 q = scratch.quantized.data();
             }
             // Narrowing copy is lossless: the quantizer saturates to
-            // the format's <= 8-bit raw range.
+            // the format's raw range, which fits Word.
             for (std::size_t in = 0; in < inputDim_; ++in)
-                quantized16[in * kLanes + lane] =
-                    static_cast<std::int16_t>(q[in]);
+                input[in * kLanes + lane] = static_cast<Word>(q[in]);
         }
 
-        const std::int16_t *current = quantized16;
-        std::int16_t *front = scratch.act16A.data();
-        std::int16_t *back = scratch.act16B.data();
+        const Word *current = input;
+        Word *front = lanes_a->data();
+        Word *back = lanes_b->data();
         for (std::size_t l = 0; l < layers_.size(); ++l) {
             const Layer &layer = layers_[l];
             args.input = current;
             args.output = front;
-            args.weightsT = layer.weights8.data();
-            args.biases = layer.biases16.data();
+            args.weightsT = (layer.*weights).data();
+            args.biases = (layer.*biases).data();
             args.inputDim = layer.inputDim;
             args.outputDim = layer.outputDim;
             args.clampAct = l + 1 < layers_.size();
-            ops.denseI16(args);
+            dense(args);
             current = front;
             std::swap(front, back);
         }
 
-        ops.argmaxI16(current, layers_.back().outputDim,
-                      labels + (base - row_begin));
+        argmax(current, layers_.back().outputDim,
+               labels + (base - row_begin));
     }
-
-    for (; base < row_end; ++base) {
-        const std::int32_t *q;
-        if (qx != nullptr) {
-            q = qx->rowPtr(base);
-        } else {
-            quantizeRow(x->rowPtr(base), scratch.quantized.data());
-            q = scratch.quantized.data();
-        }
-        labels[base - row_begin] = inferMlp(q, scratch);
-    }
-}
-
-void
-ExecutablePlan::runTreeRange(const math::Matrix *x,
-                             const QuantizedMatrix *qx,
-                             std::size_t row_begin, std::size_t row_end,
-                             int *labels, Scratch &scratch,
-                             const kernels::KernelOps &ops) const
-{
-    // Blocked descent: kTreeLanes rows walk the SoA node arrays
-    // together (vectorized compare+select per level) instead of the
-    // branchy per-row loop; a lane that reaches its leaf early just
-    // stops advancing while the group finishes.
-    constexpr std::size_t kLanes = kernels::kTreeLanes;
-    scratch.quantized.resize(kLanes * inputDim_);
-    std::int32_t *quantized = scratch.quantized.data();
-
-    kernels::TreeTraverseArgs args;
-    args.nodeFeature = nodeFeature_.data();
-    args.nodeThreshold = nodeThreshold_.data();
-    args.nodeLeft = nodeLeft_.data();
-    args.nodeRight = nodeRight_.data();
-    args.nodeLabel = nodeLabel_.data();
-
-    std::size_t base = row_begin;
-    for (; base + kLanes <= row_end; base += kLanes) {
-        if (qx != nullptr) {
-            for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                const std::int32_t *q = qx->rowPtr(base + lane);
-                for (std::size_t in = 0; in < inputDim_; ++in)
-                    quantized[in * kLanes + lane] = q[in];
-            }
-        } else {
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
-                format_.quantizeInto(x->rowPtr(base + lane),
-                                     &quantized[lane], inputDim_, kLanes);
-        }
-        args.input = quantized;
-        args.labels = labels + (base - row_begin);
-        ops.treeTraverse(args);
-    }
-
-    for (; base < row_end; ++base) {
-        const std::int32_t *q;
-        if (qx != nullptr) {
-            q = qx->rowPtr(base);
-        } else {
-            quantizeRow(x->rowPtr(base), quantized);
-            q = quantized;
-        }
-        labels[base - row_begin] = inferTree(q);
-    }
-}
-
-void
-ExecutablePlan::runMlpRangeWide(const math::Matrix *x,
-                                const QuantizedMatrix *qx,
-                                std::size_t row_begin, std::size_t row_end,
-                                int *labels, Scratch &scratch) const
-{
-    // Generic-format path: same blocked structure, int64 arithmetic.
-    // Rows are blocked so each layer's transposed weights are reused
-    // while resident in cache; kLanes independent saturating-MAC chains
-    // interleave to fill the pipeline. Pre-quantized input is consumed
-    // in place (the QuantizedMatrix is row-major contiguous).
-    constexpr std::size_t kLanes = 4;
-    scratch.quantized.resize(kRowBlock * inputDim_);
-    scratch.actA.resize(kRowBlock * maxWidth_);
-    scratch.actB.resize(kRowBlock * maxWidth_);
-    for (std::size_t block_base = row_begin; block_base < row_end;
-         block_base += kRowBlock) {
-        std::size_t block = std::min(kRowBlock, row_end - block_base);
-        const std::int32_t *current;
-        if (qx != nullptr) {
-            current = qx->rowPtr(block_base);
-        } else {
-            for (std::size_t i = 0; i < block; ++i)
-                quantizeRow(x->rowPtr(block_base + i),
-                            &scratch.quantized[i * inputDim_]);
-            current = scratch.quantized.data();
-        }
-
-        std::size_t current_width = inputDim_;
-        std::int32_t *front = scratch.actA.data();
-        std::int32_t *back = scratch.actB.data();
-        for (std::size_t l = 0; l < layers_.size(); ++l) {
-            const Layer &layer = layers_[l];
-            bool hidden = l + 1 < layers_.size();
-            std::size_t i = 0;
-            for (; i + kLanes <= block; i += kLanes) {
-                const std::int32_t *in_rows = current + i * current_width;
-                std::int32_t *out_rows = front + i * layer.outputDim;
-                for (std::size_t out = 0; out < layer.outputDim; ++out) {
-                    const std::int32_t *w =
-                        &layer.weightsT[out * layer.inputDim];
-                    std::int32_t acc[kLanes];
-                    for (std::size_t lane = 0; lane < kLanes; ++lane)
-                        acc[lane] = layer.biases[out];
-                    for (std::size_t in = 0; in < layer.inputDim; ++in) {
-                        std::int64_t weight = w[in];
-                        for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                            std::int64_t product =
-                                in_rows[lane * current_width + in] * weight;
-                            product >>= fracBits_;
-                            std::int32_t term =
-                                saturateRaw(product, rawMin_, rawMax_);
-                            acc[lane] = saturateRaw(
-                                static_cast<std::int64_t>(acc[lane]) + term,
-                                rawMin_, rawMax_);
-                        }
-                    }
-                    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                        std::int32_t a = acc[lane];
-                        if (hidden)
-                            a = std::clamp(a, actLo_, actHi_);
-                        out_rows[lane * layer.outputDim + out] = a;
-                    }
-                }
-            }
-            for (; i < block; ++i) {
-                const std::int32_t *in_row = current + i * current_width;
-                std::int32_t *out_row = front + i * layer.outputDim;
-                for (std::size_t out = 0; out < layer.outputDim; ++out) {
-                    const std::int32_t *w =
-                        &layer.weightsT[out * layer.inputDim];
-                    std::int32_t acc = layer.biases[out];
-                    for (std::size_t in = 0; in < layer.inputDim; ++in) {
-                        std::int64_t product =
-                            static_cast<std::int64_t>(in_row[in]) * w[in];
-                        product >>= fracBits_;
-                        std::int32_t term =
-                            saturateRaw(product, rawMin_, rawMax_);
-                        acc = saturateRaw(
-                            static_cast<std::int64_t>(acc) + term,
-                            rawMin_, rawMax_);
-                    }
-                    if (hidden)
-                        acc = std::clamp(acc, actLo_, actHi_);
-                    out_row[out] = acc;
-                }
-            }
-            current = front;
-            current_width = layer.outputDim;
-            std::swap(front, back);
-        }
-
-        for (std::size_t i = 0; i < block; ++i) {
-            const std::int32_t *scores = current + i * current_width;
-            std::size_t best = 0;
-            for (std::size_t c = 1; c < current_width; ++c)
-                if (scores[c] > scores[best])
-                    best = c;
-            labels[block_base + i - row_begin] = static_cast<int>(best);
-        }
-    }
+    return base;
 }
 
 void
@@ -605,27 +386,23 @@ ExecutablePlan::runRangeImpl(const math::Matrix *x,
         forcedOps_ != nullptr ? *forcedOps_
                               : kernels::KernelDispatch::ops();
 
-    if (kind_ == ModelKind::kMlp && int8_) {
-        runMlpRangeI8(x, qx, row_begin, row_end, labels, scratch, ops);
-        return;
-    }
-    if (kind_ == ModelKind::kMlp && narrow_) {
-        runMlpRangeNarrow(x, qx, row_begin, row_end, labels, scratch,
-                          ops);
-        return;
-    }
-    if (kind_ == ModelKind::kMlp) {
-        runMlpRangeWide(x, qx, row_begin, row_end, labels, scratch);
-        return;
-    }
-    if (kind_ == ModelKind::kDecisionTree) {
-        runTreeRange(x, qx, row_begin, row_end, labels, scratch, ops);
-        return;
-    }
-
+    // One row of quantizer staging, for both loops below.
     if (scratch.quantized.size() < inputDim_)
         scratch.quantized.resize(inputDim_);
-    for (std::size_t r = row_begin; r < row_end; ++r) {
+
+    std::size_t r = row_begin;
+    if (kind_ == ModelKind::kMlp && int8_)
+        r = runMlpBlocked<kernels::kDenseLanes16>(
+            x, qx, row_begin, row_end, labels, scratch, &Layer::weights8,
+            &Layer::biases16, ops.denseI16, ops.argmaxI16);
+    else if (kind_ == ModelKind::kMlp && narrow_)
+        r = runMlpBlocked<kernels::kDenseLanes32>(
+            x, qx, row_begin, row_end, labels, scratch, &Layer::weights16,
+            &Layer::biases, ops.denseI32, ops.argmaxI32);
+
+    // Everything else — trees, KMeans, SVM, wide-format MLPs and the
+    // GEMM groups' tail rows — runs one row at a time.
+    for (; r < row_end; ++r) {
         const std::int32_t *q;
         if (qx != nullptr) {
             q = qx->rowPtr(r);

@@ -16,7 +16,10 @@
  * products, flattened centroid/class-weight blocks with fused
  * distance/arg-min and score/arg-max loops, and structure-of-arrays tree
  * nodes for branch-light array-indexed traversal — then processes a whole
- * math::Matrix in row blocks with zero per-row allocation.
+ * math::Matrix with zero per-row allocation. Narrow-format MLPs run in
+ * lane-interleaved row groups through the SIMD GEMM kernels; every
+ * other model (trees, KMeans, SVM, wider-than-16-bit MLPs) runs one row
+ * at a time.
  *
  * Execution entry points compose for the multi-core serving runtime
  * (runtime::InferenceEngine):
@@ -181,28 +184,22 @@ class ExecutablePlan
     };
 
     void quantizeRow(const double *row, std::int32_t *out) const;
-    /** Blocked int32 GEMM over interleaved lanes (formats <= 16 bits),
-     *  executed through @p ops.denseI32/argmaxI32.
-     *  @p quantized_rows is the pre-quantized matrix when non-null. */
-    void runMlpRangeNarrow(const math::Matrix *x,
-                           const QuantizedMatrix *qx,
-                           std::size_t row_begin, std::size_t row_end,
-                           int *labels, Scratch &scratch,
-                           const kernels::KernelOps &ops) const;
-    /** int8-weight GEMM over 16 int16 lanes (formats <= 8 bits). */
-    void runMlpRangeI8(const math::Matrix *x, const QuantizedMatrix *qx,
-                       std::size_t row_begin, std::size_t row_end,
-                       int *labels, Scratch &scratch,
-                       const kernels::KernelOps &ops) const;
-    /** Generic-format blocked range path (int64 arithmetic). */
-    void runMlpRangeWide(const math::Matrix *x, const QuantizedMatrix *qx,
-                         std::size_t row_begin, std::size_t row_end,
-                         int *labels, Scratch &scratch) const;
-    /** Blocked tree traversal (kTreeLanes rows per descent). */
-    void runTreeRange(const math::Matrix *x, const QuantizedMatrix *qx,
-                      std::size_t row_begin, std::size_t row_end,
-                      int *labels, Scratch &scratch,
-                      const kernels::KernelOps &ops) const;
+    /** Blocked GEMM over whole groups of kLanes interleaved rows of
+     *  Word lanes (narrow formats), executed through @p dense /
+     *  @p argmax with each layer's @p weights / @p biases panels.
+     *  @p qx is the pre-quantized matrix when non-null. Returns the
+     *  first row it left for the per-row loop (the tail). */
+    template <std::size_t kLanes, typename Word, typename Args,
+              typename Weight, typename Bias>
+    std::size_t runMlpBlocked(const math::Matrix *x,
+                              const QuantizedMatrix *qx,
+                              std::size_t row_begin, std::size_t row_end,
+                              int *labels, Scratch &scratch,
+                              std::vector<Weight> Layer::*weights,
+                              std::vector<Bias> Layer::*biases,
+                              void (*dense)(const Args &),
+                              void (*argmax)(const Word *, std::size_t,
+                                             int *)) const;
     void runRangeImpl(const math::Matrix *x, const QuantizedMatrix *qx,
                       std::size_t row_begin, std::size_t row_end,
                       int *labels, Scratch &scratch) const;

@@ -94,9 +94,9 @@ struct ModelIr
      * `scalerRecorded` says the compile pipeline stated the scaler
      * provenance either way: moments present = standardized training,
      * absent = the model was genuinely trained on raw features
-     * (serialized as `scaler_none`). Both false/empty = a legacy
-     * pre-v3 artifact whose provenance is unknown — only then may
-     * serving fall back to refitting on the trace.
+     * (serialized as `scaler_none`). Both false/empty = a model built
+     * outside the compile pipeline that never stated its provenance;
+     * serving attaches no scaler to it.
      */
     std::vector<double> scalerMeans;
     std::vector<double> scalerStds;

@@ -12,10 +12,10 @@ namespace homunculus::ir {
 namespace {
 
 constexpr const char *kMagic = "homunculus-ir";
-// v3 adds the optional `scaler_means`/`scaler_stds` provenance lines
+// v3 carries the optional `scaler_means`/`scaler_stds` provenance lines
 // (the training-time StandardScaler, so serving stops refitting
-// statistics on the trace); v2 added the optional `passes ...`
-// lowering-audit line. v1 and v2 artifacts remain parseable.
+// statistics on the trace) and the optional `passes ...` lowering-audit
+// line. Only v3 artifacts parse.
 constexpr const char *kVersion = "v3";
 
 ModelKind
@@ -213,9 +213,7 @@ deserializeModel(const std::string &text)
 
     std::string header = std::getline(in, line) ? common::trim(line)
                                                 : std::string();
-    if (header != std::string(kMagic) + " v3" &&
-        header != std::string(kMagic) + " v2" &&
-        header != std::string(kMagic) + " v1")
+    if (header != std::string(kMagic) + " " + kVersion)
         throw std::runtime_error("ir: bad artifact header");
 
     ModelIr model;

@@ -8,8 +8,7 @@
  * (versioned, self-describing, diff-friendly) so compiled models can be
  * cached, shipped, and re-deployed without re-running the search.
  *
- * Format sketch (v3; v2 — identical minus the `scaler_*` lines — and
- * v1 — additionally minus the `passes` line — still parse):
+ * Format sketch (v3, the only version that parses):
  *   homunculus-ir v3
  *   kind dnn
  *   name anomaly_detection

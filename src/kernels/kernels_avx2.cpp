@@ -17,10 +17,6 @@
  *  - Shift counts are runtime values (the Q-format's fracBits), hence
  *    _mm256_sra_epi32/16 with a _mm_cvtsi32_si128 count instead of
  *    the immediate forms.
- *
- * There is no tree kernel here: an 8-lane i32gather descent measured
- * ~0.6x the scalar kernel's rows/s in bench_micro_kernels, so the
- * table leaves treeTraverse empty and inherits the scalar one.
  */
 #include "kernels/kernel_api.hpp"
 

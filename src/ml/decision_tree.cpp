@@ -11,17 +11,13 @@ namespace homunculus::ml {
 
 namespace {
 
-/** Gini impurity of an integer label subset. */
+/** Gini impurity of a label subset from its per-class counts and its
+ *  size @p n (0 for an empty subset). */
 double
-giniImpurity(const std::vector<int> &y,
-             const std::vector<std::size_t> &indices, int num_classes)
+giniImpurity(const std::vector<double> &counts, double n)
 {
-    if (indices.empty())
+    if (n == 0.0)
         return 0.0;
-    std::vector<double> counts(static_cast<std::size_t>(num_classes), 0.0);
-    for (std::size_t idx : indices)
-        counts[static_cast<std::size_t>(y[idx])] += 1.0;
-    double n = static_cast<double>(indices.size());
     double impurity = 1.0;
     for (double c : counts) {
         double p = c / n;
@@ -165,45 +161,63 @@ DecisionTreeClassifier::build(const math::Matrix &x,
     for (double &p : node->classProbs)
         p /= n;
 
-    double impurity = giniImpurity(y, indices, numClasses_);
+    double impurity =
+        giniImpurity(counts, static_cast<double>(indices.size()));
     if (depth >= config_.maxDepth || indices.size() < config_.minSamplesSplit ||
         impurity <= 1e-12) {
         return node;
     }
 
+    // Score each candidate from per-class counts of its left side (the
+    // right side is the node's counts minus those); the counts are
+    // exact integers, so the Gini values match counting each side's
+    // index list. Only the winner is partitioned.
     double best_gain = 1e-9;
+    bool found = false;
     std::size_t best_feature = 0;
     double best_threshold = 0.0;
-    std::vector<std::size_t> best_left, best_right;
+    std::vector<double> left_counts(counts.size());
+    std::vector<double> right_counts(counts.size());
 
     for (std::size_t feature :
          candidateFeatures(x.cols(), config_.maxFeatures, rng)) {
         for (double threshold : candidateThresholds(x, indices, feature)) {
-            std::vector<std::size_t> left, right;
+            std::fill(left_counts.begin(), left_counts.end(), 0.0);
+            std::size_t left_size = 0;
             for (std::size_t idx : indices) {
-                (x(idx, feature) <= threshold ? left : right).push_back(idx);
+                if (x(idx, feature) <= threshold) {
+                    left_counts[static_cast<std::size_t>(y[idx])] += 1.0;
+                    ++left_size;
+                }
             }
-            if (left.size() < config_.minSamplesLeaf ||
-                right.size() < config_.minSamplesLeaf) {
+            std::size_t right_size = indices.size() - left_size;
+            if (left_size < config_.minSamplesLeaf ||
+                right_size < config_.minSamplesLeaf) {
                 continue;
             }
-            double nl = static_cast<double>(left.size());
-            double nr = static_cast<double>(right.size());
-            double child =
-                (nl * giniImpurity(y, left, numClasses_) +
-                 nr * giniImpurity(y, right, numClasses_)) /
-                (nl + nr);
+            for (std::size_t c = 0; c < counts.size(); ++c)
+                right_counts[c] = counts[c] - left_counts[c];
+            double nl = static_cast<double>(left_size);
+            double nr = static_cast<double>(right_size);
+            double child = (nl * giniImpurity(left_counts, nl) +
+                            nr * giniImpurity(right_counts, nr)) /
+                           (nl + nr);
             double gain = impurity - child;
             if (gain > best_gain) {
                 best_gain = gain;
+                found = true;
                 best_feature = feature;
                 best_threshold = threshold;
-                best_left = std::move(left);
-                best_right = std::move(right);
             }
         }
     }
 
+    std::vector<std::size_t> best_left, best_right;
+    if (found)
+        for (std::size_t idx : indices)
+            (x(idx, best_feature) <= best_threshold ? best_left
+                                                    : best_right)
+                .push_back(idx);
     if (best_left.empty() || best_right.empty())
         return node;
 

@@ -218,7 +218,7 @@ Executor::run(std::size_t width, std::size_t num_tasks, const TaskFn &fn)
 
 void
 Executor::runChunks(std::size_t width, std::size_t count,
-                    std::size_t chunk_size, const common::ChunkFn &fn)
+                    std::size_t chunk_size, const ChunkFn &fn)
 {
     if (count == 0)
         return;

@@ -4,7 +4,7 @@
  *
  * PR 3 measured ~50 us of thread fan-out per parallel dispatch — paid on
  * every micro-batch the serving path classifies and every candidate the
- * search scores, because common::parallelFor spawned fresh std::threads
+ * search scores, because the old dispatch spawned fresh std::threads
  * per call. This executor replaces that with one persistent pool:
  *
  *  - lazy-started: no threads exist until the first dispatch that can
@@ -30,12 +30,11 @@
  * dispatch completes even when every pool worker is busy elsewhere —
  * concurrent submitters share the pool instead of competing spawns.
  *
- * common::parallelFor / parallelForChunks are thin shims over
- * processDefault(), so every existing call site stopped paying per-batch
- * spawn cost without changing. Code that wants an isolated pool (a
- * latency-critical server next to a background search) constructs its
- * own Executor and threads it through EngineOptions / EvalOptions /
- * CompileOptions.
+ * Every parallel section dispatches on processDefault() unless handed
+ * its own pool, so no call site pays per-batch spawn cost. Code that
+ * wants an isolated pool (a latency-critical server next to a
+ * background search) constructs its own Executor and threads it
+ * through EngineOptions / EvalOptions / CompileOptions.
  */
 #pragma once
 
@@ -50,8 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
-
 namespace homunculus::runtime {
 
 /** A long-lived, resizable worker pool. */
@@ -60,6 +57,10 @@ class Executor
   public:
     /** Task callback: (task index, participant slot in [0, width)). */
     using TaskFn = std::function<void(std::size_t task, std::size_t worker)>;
+    /** Chunk callback: a contiguous slice [begin, end) of the index
+     *  space plus the participant slot running it. */
+    using ChunkFn = std::function<void(std::size_t begin, std::size_t end,
+                                       std::size_t worker)>;
 
     /** @param jobs target parallelism (0 = one per hardware thread).
      *  No threads start until the first dispatch needs them. */
@@ -84,12 +85,14 @@ class Executor
     void run(std::size_t width, std::size_t num_tasks, const TaskFn &fn);
 
     /**
-     * Chunked variant mirroring common::parallelForChunks: fn receives
-     * contiguous [begin, end) slices of [0, count) of up to
-     * @p chunk_size indices plus the participant slot.
+     * Chunked variant of run(): fn receives contiguous [begin, end)
+     * slices of [0, count) of up to @p chunk_size indices plus the
+     * participant slot, so one dispatch amortizes over many indices and
+     * callers can keep per-slot scratch arenas. Throws
+     * std::invalid_argument when @p chunk_size is 0.
      */
     void runChunks(std::size_t width, std::size_t count,
-                   std::size_t chunk_size, const common::ChunkFn &fn);
+                   std::size_t chunk_size, const ChunkFn &fn);
 
     /** The configured target width (the constructor's jobs, resolved). */
     std::size_t parallelism() const;
@@ -125,9 +128,8 @@ class Executor
     static std::uint64_t threadsSpawned();
 
     /**
-     * The process-default executor shared by common::parallelFor /
-     * parallelForChunks and every EngineOptions/EvalOptions/
-     * CompileOptions with executor == nullptr. Sized to the hardware;
+     * The process-default executor shared by every EngineOptions/
+     * EvalOptions/CompileOptions with executor == nullptr. Sized to the hardware;
      * also the single place a jobs value of 0 resolves (hoisted out of
      * the old per-call-site hardware_concurrency lookups).
      */

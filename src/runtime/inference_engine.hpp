@@ -5,7 +5,7 @@
  * PR 2 made batch inference compile-then-execute; this engine makes it
  * scale across cores, the same data-parallel row sharding MapReduce-style
  * operator frameworks (ASAP) use. A batch is split into contiguous row
- * shards, fanned out over common::parallelForChunks, and each worker
+ * shards, fanned out over Executor::runChunks, and each worker
  * executes the shared immutable plan with its own Scratch arena, writing
  * labels directly into that shard's slice of the output vector — so the
  * stitched result preserves row order and is bit-identical to the

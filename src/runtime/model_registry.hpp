@@ -30,9 +30,9 @@
  *
  * Scaler provenance rides the artifact: a v3 model with stored moments
  * gets its training-time StandardScaler attached to the epoch; a model
- * recorded as raw-trained (or a legacy artifact) gets none. The
- * registry never refits statistics on traffic — it is artifact-driven
- * by design (the 3am control plane installs what the compiler shipped).
+ * recorded as raw-trained (or one that never stated its provenance)
+ * gets none. The registry never refits statistics on traffic — it is
+ * artifact-driven by design (the 3am control plane installs what the compiler shipped).
  *
  * Thread model: every method is safe to call from any thread. active()
  * and version() return shared_ptrs whose pointees are immutable after

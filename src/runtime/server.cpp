@@ -263,29 +263,6 @@ Server::admit(std::vector<double> features, std::size_t lane)
 }
 
 SubmitResult
-Server::admitPacket(const net::PacketHeaders &headers,
-                    const std::uint8_t *payload, std::size_t payload_size,
-                    std::size_t lane)
-{
-    if (router_.inputDim() != net::kNumTcFeatures)
-        throw std::runtime_error(common::format(
-            "Server: model expects %zu features but the packet "
-            "extractor emits %zu",
-            router_.inputDim(), net::kNumTcFeatures));
-    std::vector<double> features(net::kNumTcFeatures);
-    extractor_.extractInto(headers, payload, payload_size,
-                           features.data());
-    return admit(std::move(features), lane);
-}
-
-SubmitResult
-Server::submitPacket(const net::RawPacket &packet, std::size_t lane)
-{
-    return admitPacket(packet, packet.payload.data(),
-                       packet.payload.size(), lane);
-}
-
-SubmitResult
 Server::submitFrame(const std::vector<std::uint8_t> &frame,
                     std::size_t lane)
 {
@@ -315,8 +292,15 @@ Server::submitFrame(const std::vector<std::uint8_t> &frame,
         result.ticket = ticket;
         return result;
     }
-    return admitPacket(headers, frame.data() + *offset,
-                       frame.size() - *offset, lane);
+    if (router_.inputDim() != net::kNumTcFeatures)
+        throw std::runtime_error(common::format(
+            "Server: model expects %zu features but the packet "
+            "extractor emits %zu",
+            router_.inputDim(), net::kNumTcFeatures));
+    std::vector<double> features(net::kNumTcFeatures);
+    extractor_.extractInto(headers, frame.data() + *offset,
+                           frame.size() - *offset, features.data());
+    return admit(std::move(features), lane);
 }
 
 void

@@ -320,10 +320,6 @@ class Server
     SubmitResult submitFrame(const std::vector<std::uint8_t> &frame,
                              std::size_t lane = 0);
 
-    /** Extract + admit an already-parsed packet. */
-    SubmitResult submitPacket(const net::RawPacket &packet,
-                              std::size_t lane = 0);
-
     /** Close admissions, drain, join, and return the stats. Idempotent
      *  (later calls return the same snapshot). */
     ServerStats stop();
@@ -371,10 +367,6 @@ class Server
 
     /** Queue one row of the routed input width (already checked). */
     SubmitResult admit(std::vector<double> features, std::size_t lane);
-    /** Check the packet schema, extract, and admit. */
-    SubmitResult admitPacket(const net::PacketHeaders &headers,
-                             const std::uint8_t *payload,
-                             std::size_t payload_size, std::size_t lane);
 
     void serveLoop();
     /**

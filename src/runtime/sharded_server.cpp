@@ -8,6 +8,11 @@ namespace homunculus::runtime {
 
 namespace {
 
+/** Consistent-hash ring points per shard: enough to smooth the key
+ *  distribution across shards while the ring stays small enough to
+ *  binary-search per submit. */
+constexpr std::size_t kVirtualNodes = 64;
+
 /** splitmix64 finalizer: cheap, well-mixed 64-bit hash. Used both to
  *  place virtual nodes on the ring and to hash flow keys onto it, so
  *  correlated keys (sequential addresses, stride-allocated ports)
@@ -79,7 +84,7 @@ ShardedServer::ShardedServer(std::shared_ptr<ModelRegistry> registry,
         servers_.push_back(std::make_unique<Server>(
             registry, route, shardConfig(config.server, s), on_verdict,
             on_trace));
-    buildRing(shard_count, config.virtualNodes);
+    buildRing(shard_count);
     const ServerConfig &base = config.server;
     frontMalformed_ = &frontMetrics_.counter("server.malformed_frames");
     frontCallbackErrors_ =
@@ -98,13 +103,11 @@ ShardedServer::~ShardedServer()
 }
 
 void
-ShardedServer::buildRing(std::size_t shard_count,
-                         std::size_t virtual_nodes)
+ShardedServer::buildRing(std::size_t shard_count)
 {
-    std::size_t points = std::max<std::size_t>(virtual_nodes, 1);
-    ring_.reserve(shard_count * points);
+    ring_.reserve(shard_count * kVirtualNodes);
     for (std::size_t s = 0; s < shard_count; ++s)
-        for (std::size_t v = 0; v < points; ++v) {
+        for (std::size_t v = 0; v < kVirtualNodes; ++v) {
             RingPoint point;
             // (shard, vnode) -> a stable pseudo-random ring position;
             // shard+1 keeps shard 0's nodes off the v-only pattern.
@@ -136,19 +139,11 @@ ShardedServer::submit(std::uint64_t flow_key,
 }
 
 SubmitResult
-ShardedServer::submitPacket(const net::RawPacket &packet,
-                            std::size_t lane)
-{
-    return servers_[shardFor(flowKey(packet))]->submitPacket(packet,
-                                                             lane);
-}
-
-SubmitResult
 ShardedServer::submitFrame(const std::vector<std::uint8_t> &frame,
                            std::size_t lane)
 {
     // The flow key needs the headers; the owning shard re-parses them
-    // (cheaper than copying the payload into a RawPacket here).
+    // (cheaper than handing a parsed copy across).
     net::PacketHeaders headers;
     if (!net::parseHeaders(frame.data(), frame.size(), headers)) {
         // Per-ticket malformed reporting, same contract as

@@ -13,8 +13,8 @@
  * shared-nothing RSS shape: RSS hashes flows to rings, we to shards).
  *
  * Flow affinity: submissions carry a 64-bit flow key (for packets, the
- * 5-tuple via flowKey()). A consistent-hash ring — virtualNodes points
- * per shard, splitmix64-placed — maps key -> shard, so
+ * 5-tuple via flowKey()). A consistent-hash ring — 64 points per
+ * shard, splitmix64-placed — maps key -> shard, so
  *
  *   - one flow's requests always land on one shard, whose single
  *     batcher serves them in admission order: per-flow verdict order
@@ -68,10 +68,6 @@ struct ShardedServerConfig
     /** Independent Server instances (queue + batcher + router each).
      *  Clamped to at least 1. */
     std::size_t shards = 2;
-    /** Consistent-hash ring points per shard. More points smooth the
-     *  key distribution across shards at the cost of a larger (still
-     *  binary-searched) ring. */
-    std::size_t virtualNodes = 64;
     /** Replicated per shard (ticketBase is overridden per shard to
      *  keep tickets globally unique). */
     ServerConfig server;
@@ -115,10 +111,6 @@ class ShardedServer
      *  ticket — same per-ticket contract as Server::submitFrame. */
     SubmitResult submitFrame(const std::vector<std::uint8_t> &frame,
                              std::size_t lane = 0);
-
-    /** Extract + admit an already-parsed packet on its flow's shard. */
-    SubmitResult submitPacket(const net::RawPacket &packet,
-                              std::size_t lane = 0);
 
     /** Stop every shard, merge the stats (see file comment).
      *  Idempotent. */
@@ -168,7 +160,7 @@ class ShardedServer
         }
     };
 
-    void buildRing(std::size_t shard_count, std::size_t virtual_nodes);
+    void buildRing(std::size_t shard_count);
 
     std::vector<std::unique_ptr<Server>> servers_;
     std::vector<RingPoint> ring_;  ///< sorted; immutable after ctor.

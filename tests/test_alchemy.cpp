@@ -5,10 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/design_space.hpp"
 #include "core/fusion.hpp"
 #include "core/schedule.hpp"
 #include "data/anomaly_generator.hpp"
+#include "data/iot_traffic_generator.hpp"
 
 namespace hcore = homunculus::core;
 namespace hb = homunculus::backends;
@@ -297,4 +300,34 @@ TEST(Fusion, HalveAndFuseRoundTrip)
     auto fused = hcore::fuseSplits(part1, part2);
     EXPECT_EQ(fused.train.numSamples(), full.train.numSamples());
     EXPECT_EQ(fused.test.numSamples(), full.test.numSamples());
+}
+
+TEST(Fusion, HalveAndFuseKeepScalerMoments)
+{
+    homunculus::data::IotTrafficConfig config;
+    config.numSamples = 400;
+    auto full = homunculus::data::generateIotTrafficSplit(config);
+    ASSERT_FALSE(full.scalerMeans.empty());
+    ASSERT_EQ(full.scalerStds.size(), full.scalerMeans.size());
+
+    // Both halves stay in the full split's standardized space.
+    auto [part1, part2] = hcore::halveSplit(full, 5);
+    EXPECT_EQ(part1.scalerMeans, full.scalerMeans);
+    EXPECT_EQ(part1.scalerStds, full.scalerStds);
+    EXPECT_EQ(part2.scalerMeans, full.scalerMeans);
+    EXPECT_EQ(part2.scalerStds, full.scalerStds);
+
+    // Identical moments fuse through.
+    auto fused = hcore::fuseSplits(part1, part2);
+    EXPECT_EQ(fused.scalerMeans, full.scalerMeans);
+    EXPECT_EQ(fused.scalerStds, full.scalerStds);
+
+    // One artifact cannot record two transforms.
+    auto shifted = part2;
+    shifted.scalerMeans[0] += 1.0;
+    EXPECT_THROW(hcore::fuseSplits(part1, shifted), std::invalid_argument);
+    auto raw = part2;
+    raw.scalerMeans.clear();
+    raw.scalerStds.clear();
+    EXPECT_THROW(hcore::fuseSplits(part1, raw), std::invalid_argument);
 }

@@ -17,11 +17,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/inference_engine.hpp"
 
-namespace hc = homunculus::common;
 namespace hi = homunculus::ir;
 namespace hm = homunculus::math;
 namespace hr = homunculus::runtime;
@@ -160,23 +158,6 @@ TEST(Executor, NestedDispatchRunsInlineOnPoolWorkers)
     EXPECT_FALSE(inner_nonzero_slot.load());
     EXPECT_EQ(executor.liveWorkers(), warm_workers);
     EXPECT_EQ(hr::Executor::threadsSpawned(), warm_spawned);
-}
-
-TEST(Executor, ParallelForShimsUseTheProcessDefaultPool)
-{
-    // Warm the default pool, then check repeated shim dispatches create
-    // no threads at all.
-    hc::parallelFor(4, 64, [](std::size_t) {});
-    std::uint64_t warm = hr::Executor::threadsSpawned();
-    for (int round = 0; round < 50; ++round) {
-        hc::parallelFor(4, 64, [](std::size_t) {});
-        hc::parallelForChunks(4, 4096, 256,
-                              [](std::size_t, std::size_t,
-                                 std::size_t) {});
-    }
-    EXPECT_EQ(hr::Executor::threadsSpawned(), warm);
-    EXPECT_EQ(hc::effectiveJobs(0),
-              hr::Executor::processDefault().parallelism());
 }
 
 // The acceptance bar behind the whole refactor: after warm-up, a

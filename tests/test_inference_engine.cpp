@@ -21,11 +21,11 @@
 #include "backends/mat_platform.hpp"
 #include "backends/taurus.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/compiler.hpp"
 #include "data/anomaly_generator.hpp"
 #include "ml/metrics.hpp"
 #include "net/feature_extract.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/inference_engine.hpp"
 #include "runtime/quant_cache.hpp"
 #include "runtime/stream_harness.hpp"
@@ -169,17 +169,18 @@ allFamilies(std::uint64_t seed)
 
 }  // namespace
 
-// ------------------------------------------------------ parallelForChunks
+// ------------------------------------------------- Executor::runChunks
 
 TEST(ParallelForChunks, CoversEveryIndexExactlyOnce)
 {
+    hr::Executor &pool = hr::Executor::processDefault();
     for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
         std::vector<std::atomic<int>> hits(1000);
         std::atomic<bool> bad_worker{false};
-        hc::parallelForChunks(
+        pool.runChunks(
             jobs, hits.size(), 64,
             [&](std::size_t begin, std::size_t end, std::size_t worker) {
-                if (worker >= hc::effectiveJobs(jobs))
+                if (worker >= pool.resolve(jobs))
                     bad_worker = true;
                 for (std::size_t i = begin; i < end; ++i)
                     hits[i].fetch_add(1);
@@ -195,12 +196,12 @@ TEST(ParallelForChunks, ChunkBoundariesAreContiguousAndSized)
     // Single-threaded so ordering is observable: chunks must arrive in
     // order, sized chunk_size except the tail.
     std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    hc::parallelForChunks(1, 10, 4,
-                          [&](std::size_t begin, std::size_t end,
-                              std::size_t worker) {
-                              EXPECT_EQ(worker, 0u);
-                              chunks.emplace_back(begin, end);
-                          });
+    hr::Executor::processDefault().runChunks(
+        1, 10, 4,
+        [&](std::size_t begin, std::size_t end, std::size_t worker) {
+            EXPECT_EQ(worker, 0u);
+            chunks.emplace_back(begin, end);
+        });
     std::vector<std::pair<std::size_t, std::size_t>> expected = {
         {0, 4}, {4, 8}, {8, 10}};
     EXPECT_EQ(chunks, expected);
@@ -209,14 +210,14 @@ TEST(ParallelForChunks, ChunkBoundariesAreContiguousAndSized)
 TEST(ParallelForChunks, RethrowsLowestChunkFailure)
 {
     try {
-        hc::parallelForChunks(
+        hr::Executor::processDefault().runChunks(
             4, 100, 10,
             [&](std::size_t begin, std::size_t, std::size_t) {
                 if (begin == 30 || begin == 70)
                     throw std::runtime_error("chunk " +
                                              std::to_string(begin));
             });
-        FAIL() << "expected parallelForChunks to throw";
+        FAIL() << "expected runChunks to throw";
     } catch (const std::runtime_error &error) {
         EXPECT_STREQ(error.what(), "chunk 30");
     }
@@ -225,11 +226,11 @@ TEST(ParallelForChunks, RethrowsLowestChunkFailure)
 TEST(ParallelForChunks, EdgeCases)
 {
     // count == 0 is a no-op; chunk_size == 0 is a contract violation.
-    hc::parallelForChunks(4, 0, 16,
-                          [](std::size_t, std::size_t, std::size_t) {
-                              FAIL() << "no chunks expected";
-                          });
-    EXPECT_THROW(hc::parallelForChunks(
+    hr::Executor &pool = hr::Executor::processDefault();
+    pool.runChunks(4, 0, 16, [](std::size_t, std::size_t, std::size_t) {
+        FAIL() << "no chunks expected";
+    });
+    EXPECT_THROW(pool.runChunks(
                      4, 10, 0,
                      [](std::size_t, std::size_t, std::size_t) {}),
                  std::invalid_argument);

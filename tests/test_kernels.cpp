@@ -270,7 +270,6 @@ TEST(KernelDispatch, ScalarIsAlwaysAvailable)
         EXPECT_NE(ops->denseI16, nullptr);
         EXPECT_NE(ops->argmaxI32, nullptr);
         EXPECT_NE(ops->argmaxI16, nullptr);
-        EXPECT_NE(ops->treeTraverse, nullptr);
         EXPECT_NE(ops->squaredDist, nullptr);
         EXPECT_NE(ops->kmeansArgmin, nullptr);
         EXPECT_NE(ops->svmArgmaxNarrow, nullptr);

@@ -166,10 +166,10 @@ TEST(Serialize, RejectsBadHeaderAndTruncation)
 TEST(Serialize, RejectsUnknownTagsAndInvalidModels)
 {
     EXPECT_THROW(
-        hi::deserializeModel("homunculus-ir v1\nbogus_tag 1\nend\n"),
+        hi::deserializeModel("homunculus-ir v3\nbogus_tag 1\nend\n"),
         std::runtime_error);
     // Structurally broken model: MLP with no layers fails validate().
-    EXPECT_THROW(hi::deserializeModel("homunculus-ir v1\nkind dnn\n"
+    EXPECT_THROW(hi::deserializeModel("homunculus-ir v3\nkind dnn\n"
                                       "input_dim 3\nnum_classes 2\nend\n"),
                  std::runtime_error);
     EXPECT_THROW(hi::loadModel("/nonexistent/path/model.txt"),
@@ -197,21 +197,27 @@ TEST(Serialize, ScalerMomentsRoundTripExactly)
     EXPECT_EQ(restored.scalerStds, original.scalerStds);
 }
 
-TEST(Serialize, ModelsWithoutScalerOmitTheLinesAndLegacyVersionsParse)
+TEST(Serialize, ModelsWithoutScalerOmitTheLinesAndLegacyVersionsFail)
 {
     auto original = mlpIr(17);
     ASSERT_FALSE(original.hasScaler());
     std::string text = hi::serializeModel(original);
     EXPECT_EQ(text.find("scaler_"), std::string::npos);
+    auto restored = hi::deserializeModel(text);
+    EXPECT_FALSE(restored.hasScaler());
+    EXPECT_EQ(restored.paramCount(), original.paramCount());
 
-    // v1 and v2 artifacts (no scaler lines) still parse: rewrite the
-    // header of a fresh serialization to the older versions.
+    // Only v3 parses: the same body under a v1 or v2 header is a bad
+    // artifact header, not a model.
     for (const char *version : {"v1", "v2"}) {
         std::string legacy = text;
         legacy.replace(legacy.find("v3"), 2, version);
-        auto restored = hi::deserializeModel(legacy);
-        EXPECT_FALSE(restored.hasScaler());
-        EXPECT_EQ(restored.paramCount(), original.paramCount());
+        try {
+            hi::deserializeModel(legacy);
+            FAIL() << "expected a " << version << " header to be rejected";
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "ir: bad artifact header");
+        }
     }
 }
 
@@ -219,8 +225,8 @@ TEST(Serialize, RawFeatureProvenanceRoundTripsAsScalerNone)
 {
     // "Trained on raw features" is provenance too: recorded models
     // without moments serialize a scaler_none marker, so serving can
-    // tell them apart from legacy artifacts (which may refit on the
-    // trace) — and never invents a scaler for them.
+    // tell them apart from models that never stated their provenance —
+    // and never invents a scaler for them.
     auto original = mlpIr(23);
     original.scalerRecorded = true;
     ASSERT_FALSE(original.hasScaler());
